@@ -1,5 +1,8 @@
 #include "cpu/ooo_core.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "mem/cache.hpp"
 #include "util/error.hpp"
 
@@ -35,6 +38,7 @@ OooCore::OooCore(CoreConfig cfg, trace::TraceSource* source, mem::MemoryLevel* l
       source_(source),
       l1_(l1),
       rob_(cfg_.rob_size),
+      ready_((rob_.slot_count() + 63) / 64, 0),
       id_base_(id_space << kSeqBits) {
   cfg_.validate();
   util::require(source_ != nullptr, cfg_.name, ": trace source must exist");
@@ -57,16 +61,36 @@ bool OooCore::refill_trace() {
   return chunk_len_ > 0;
 }
 
-bool OooCore::dep_done(std::uint64_t index, std::uint32_t dist) const {
-  if (dist == 0 || static_cast<std::uint64_t>(dist) > index) return true;
-  const std::uint64_t dep = index - dist;
-  if (dep < rob_.head_seq()) return true;  // already retired
-  if (!rob_.contains_seq(dep)) return true;  // beyond tail cannot happen; be safe
-  return rob_.at_seq(dep).state == State::kDone;
+void OooCore::add_producer(RobEntry& e, std::size_t slot, unsigned k,
+                           std::uint32_t dist) {
+  if (dist == 0 || static_cast<std::uint64_t>(dist) > e.index) return;
+  const std::uint64_t dep = e.index - dist;
+  if (dep < rob_.head_seq()) return;  // already retired
+  RobEntry& producer = rob_.at_seq(dep);
+  if (producer.state == State::kDone) return;
+  ++e.pending;
+  e.next_edge[k] = producer.consumers;
+  producer.consumers = static_cast<std::uint32_t>(2 * slot + k);
 }
 
-bool OooCore::deps_ready(const RobEntry& e) const {
-  return dep_done(e.index, e.op.dep_dist) && dep_done(e.index, e.op.dep_dist2);
+void OooCore::mark_done(RobEntry& e) {
+  e.state = State::kDone;
+  for (std::uint32_t edge = e.consumers; edge != kNoEdge;) {
+    const std::size_t slot = edge >> 1;
+    RobEntry& consumer = rob_.at_slot(slot);
+    edge = consumer.next_edge[edge & 1];
+    if (--consumer.pending == 0) set_ready(slot);
+  }
+  e.consumers = kNoEdge;
+}
+
+std::size_t OooCore::next_ready(std::size_t from, std::size_t to) const {
+  while (from < to) {
+    const std::uint64_t bits = ready_[from >> 6] >> (from & 63);
+    if (bits != 0) return std::min(to, from + std::countr_zero(bits));
+    from = (from | 63) + 1;
+  }
+  return to;
 }
 
 void OooCore::on_response(const mem::MemResponse& rsp) { responses_.push(rsp); }
@@ -89,7 +113,7 @@ void OooCore::tick(Cycle now) {
     --lsq_occupancy_;
     if (rob_.contains_seq(seq)) {
       RobEntry& e = rob_.at_seq(seq);
-      if (e.state == State::kMemWaiting) e.state = State::kDone;
+      if (e.state == State::kMemWaiting) mark_done(e);
     }
     // Stores may already have retired (they commit at L1 acceptance).
   }
@@ -127,13 +151,14 @@ void OooCore::tick(Cycle now) {
 
 void OooCore::do_complete(Cycle now) {
   // Only ALU ops pass through kExecuting, and an executing entry can neither
-  // commit nor be squashed, so its seq stays valid until completion; scanning
-  // this compact list replaces a full ROB sweep. Removal order within a cycle
-  // is immaterial: every due entry is marked before commit/issue run.
+  // commit nor be squashed, so its slot stays valid until completion;
+  // scanning this compact list replaces a full ROB sweep. Removal order
+  // within a cycle is immaterial: every due entry is marked, and its
+  // consumers woken, before commit/issue run.
   for (std::size_t i = 0; i < executing_.size();) {
-    RobEntry& e = rob_.at_seq(executing_[i]);
+    RobEntry& e = rob_.at_slot(executing_[i]);
     if (e.done_at <= now) {
-      e.state = State::kDone;
+      mark_done(e);
       executing_[i] = executing_.back();
       executing_.pop_back();
     } else {
@@ -167,48 +192,55 @@ void OooCore::do_commit(Cycle /*now*/) {
 void OooCore::do_issue(Cycle now) {
   std::uint32_t issued = 0;
   bool mem_port_blocked = false;
-  // iw_occupancy_ counts the kDispatched entries; once the scan has seen
-  // them all, the rest of the ROB holds nothing issuable.
-  std::uint64_t unseen = iw_occupancy_;
-  for (std::size_t i = 0;
-       i < rob_.size() && issued < cfg_.issue_width && unseen > 0; ++i) {
-    RobEntry& e = rob_.at_offset(i);
-    if (e.state != State::kDispatched) continue;
-    --unseen;
-    if (!deps_ready(e)) continue;
+  // Ready slots in program order: from the head's slot to the end of the
+  // ring, then from slot 0 up to the head. next_ready() re-reads the live
+  // bitmap, so a consumer that an accepted store wakes later in this scan
+  // still issues this cycle.
+  const std::size_t head = rob_.slot_of(rob_.head_seq());
+  for (int pass = 0; pass < 2 && issued < cfg_.issue_width; ++pass) {
+    const std::size_t end = pass == 0 ? rob_.slot_count() : head;
+    for (std::size_t slot = next_ready(pass == 0 ? head : 0, end);
+         slot < end && issued < cfg_.issue_width;
+         slot = next_ready(slot + 1, end)) {
+      RobEntry& e = rob_.at_slot(slot);
+      if (e.op.type == trace::OpType::kAlu) {
+        e.state = State::kExecuting;
+        e.done_at = now + e.op.exec_latency;
+        executing_.push_back(slot);
+        clear_ready(slot);
+        --iw_occupancy_;
+        ++issued;
+        continue;
+      }
 
-    if (e.op.type == trace::OpType::kAlu) {
-      e.state = State::kExecuting;
-      e.done_at = now + e.op.exec_latency;
-      executing_.push_back(e.index);
+      // Memory op: needs an LSQ slot and an L1 port.
+      if (mem_port_blocked || lsq_occupancy_ >= cfg_.lsq_size) continue;
+      mem::MemRequest req;
+      req.id = id_base_ | e.index;
+      req.core = cfg_.id;
+      req.addr = e.op.addr;
+      req.kind = e.op.type == trace::OpType::kStore ? mem::AccessKind::kWrite
+                                                    : mem::AccessKind::kRead;
+      req.created = now;
+      req.reply_to = this;
+      if (!l1_try_access(req)) {
+        ++stats_.l1_rejections;
+        mem_port_blocked = true;  // further memory issues would also bounce
+        continue;
+      }
+      ++lsq_occupancy_;
       --iw_occupancy_;
       ++issued;
-      continue;
+      e.mem_id = req.id;
+      clear_ready(slot);
+      // Stores retire at acceptance (store-buffer semantics); loads wait for
+      // their data.
+      if (e.op.type == trace::OpType::kStore) {
+        mark_done(e);
+      } else {
+        e.state = State::kMemWaiting;
+      }
     }
-
-    // Memory op: needs an LSQ slot and an L1 port.
-    if (mem_port_blocked || lsq_occupancy_ >= cfg_.lsq_size) continue;
-    mem::MemRequest req;
-    req.id = id_base_ | e.index;
-    req.core = cfg_.id;
-    req.addr = e.op.addr;
-    req.kind = e.op.type == trace::OpType::kStore ? mem::AccessKind::kWrite
-                                                  : mem::AccessKind::kRead;
-    req.created = now;
-    req.reply_to = this;
-    if (!l1_try_access(req)) {
-      ++stats_.l1_rejections;
-      mem_port_blocked = true;  // further memory issues would also bounce
-      continue;
-    }
-    ++lsq_occupancy_;
-    --iw_occupancy_;
-    ++issued;
-    e.mem_id = req.id;
-    // Stores retire at acceptance (store-buffer semantics); loads wait for
-    // their data.
-    e.state = e.op.type == trace::OpType::kStore ? State::kDone
-                                                 : State::kMemWaiting;
   }
 }
 
@@ -224,8 +256,14 @@ void OooCore::do_dispatch(Cycle /*now*/) {
     e.op = trace_chunk_[chunk_pos_++];
     e.state = State::kDispatched;
     const std::size_t seq = rob_.push(e);
-    rob_.at_seq(seq).index = seq;
     util::require(seq == next_index_, "OooCore: ROB sequence drift");
+    const std::size_t slot = rob_.slot_of(seq);
+    RobEntry& d = rob_.at_slot(slot);
+    d.index = seq;
+    add_producer(d, slot, 0, d.op.dep_dist);
+    // Two dependences on one producer are one wait.
+    if (d.op.dep_dist2 != d.op.dep_dist) add_producer(d, slot, 1, d.op.dep_dist2);
+    if (d.pending == 0) set_ready(slot);
     ++next_index_;
     ++iw_occupancy_;
     ++dispatched;

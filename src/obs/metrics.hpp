@@ -21,6 +21,10 @@
 // registry must outlive all threads still holding handles into it; the
 // process-wide global() registry is never destroyed, so the rule only
 // matters for privately constructed registries (join your threads first).
+// Writes stay safe while a thread's thread_local storage is torn down:
+// from then on its writes go through the mutex into a shared orphan shard
+// instead of the destroyed per-thread cache. Still, nothing in the repo
+// records metrics from a static destructor.
 //
 // The exit snapshot: the first touch of MetricsRegistry::global() installs
 // an atexit hook that, when $LPM_METRICS=<path> is set, writes a final
@@ -162,6 +166,9 @@ class MetricsRegistry {
   /// `id`, creating the thread's shard on first touch.
   std::atomic<std::uint64_t>* counter_slot(std::size_t id);
   HistogramShard* histogram_shard(std::size_t id);
+  /// The shard at `index`, creating it (and storing its index) when
+  /// `index` is still unassigned. Caller holds mutex_.
+  Shard& shard_at(std::size_t& index);
 
   /// Serial number distinguishing registry instances so a thread-local
   /// cache can never alias a dead registry reincarnated at the same
@@ -170,6 +177,10 @@ class MetricsRegistry {
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Shard for writes from threads whose thread_local cache is already
+  /// destroyed (static destructors at exit). Those writes always take the
+  /// mutex; the index is unassigned until the first one.
+  std::size_t orphan_shard_ = static_cast<std::size_t>(-1);
   std::map<std::string, std::size_t> counter_ids_;
   std::map<std::string, std::size_t> gauge_ids_;
   std::map<std::string, std::size_t> histogram_ids_;

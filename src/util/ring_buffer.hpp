@@ -92,6 +92,15 @@ class RingBuffer {
   }
   [[nodiscard]] std::size_t head_seq() const { return head_seq_; }
 
+  /// Physical storage: slot_count() is capacity() rounded up to a power of
+  /// two, and a live element with sequence number `seq` sits in slot
+  /// slot_of(seq). Walking slots upward from slot_of(head_seq()) and
+  /// wrapping at slot_count() visits the elements oldest first. at_slot()
+  /// is unchecked; callers keep side tables indexed by slot.
+  [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
+  [[nodiscard]] std::size_t slot_of(std::size_t seq) const { return seq & mask_; }
+  [[nodiscard]] T& at_slot(std::size_t slot) { return slots_[slot]; }
+
   void clear() {
     head_seq_ += size_;
     size_ = 0;

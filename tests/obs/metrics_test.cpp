@@ -8,12 +8,15 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "exp/experiment_engine.hpp"
+#include "trace/spec_like.hpp"
 #include "util/error.hpp"
 
 namespace lpm::obs {
@@ -214,6 +217,46 @@ TEST(DumpMetrics, WritesJsonFileForJsonPath) {
 
 TEST(DumpMetrics, ReturnsFalseOnUnwritablePath) {
   EXPECT_FALSE(dump_metrics("/nonexistent-dir/metrics.json"));
+}
+
+/// Records into `counter` from its destructor, i.e. during the owning
+/// thread's thread_local teardown.
+struct RecordsOnDestruction {
+  MetricsRegistry::Counter counter;
+  ~RecordsOnDestruction() { counter.inc(); }
+};
+
+TEST(MetricsTeardown, WritesAfterThreadLocalTeardownAreKept) {
+  MetricsRegistry reg;
+  const MetricsRegistry::Counter c = reg.counter("test.teardown");
+  std::thread t([c] {
+    // Constructed before the thread's first metric write, so it is
+    // destroyed after the registry's per-thread cache: its increment lands
+    // on the locked orphan path.
+    thread_local RecordsOnDestruction late{c};
+    MetricsRegistry::Counter(c).inc();
+  });
+  t.join();
+  EXPECT_EQ(reg.snapshot().counter_or_zero("test.teardown"), 2u);
+}
+
+TEST(MetricsTeardown, SharedEngineProcessExitsCleanly) {
+  // A child process uses the pooled shared() engine, records metrics on
+  // its main thread and exits normally. Static destructors (the shared
+  // engine's among them) then run after the main thread's thread_local
+  // storage is gone; none of that may crash.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        ::setenv("LPM_THREADS", "2", 1);
+        exp::ExperimentEngine& engine = exp::ExperimentEngine::shared();
+        (void)engine.run(exp::SimJob::solo(
+            sim::MachineConfig::single_core_default(),
+            trace::spec_profile(trace::SpecBenchmark::kGcc, 2'000, 1)));
+        MetricsRegistry::global().counter("test.exit").inc();
+        std::exit(engine.threads() == 2 ? 0 : 3);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -6,10 +6,12 @@
 // its env knobs, the file-backed profile/fingerprint identity, and the
 // materialize() fill-contract enforcement.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <string>
@@ -30,8 +32,20 @@ namespace {
 
 // --- helpers ----------------------------------------------------------------
 
+// ctest runs every test of this file as its own process, possibly in
+// parallel; a directory per process keeps one process from truncating a
+// file another has mapped, and keeps the leaf name (some tests check it).
+// The directory is removed when the process exits.
 std::string temp_path(const std::string& leaf) {
-  return testing::TempDir() + "/" + leaf;
+  static const struct ProcessDir {
+    std::string path = testing::TempDir() + "/lpm2_test_" + std::to_string(::getpid());
+    ProcessDir() { std::filesystem::create_directories(path); }
+    ~ProcessDir() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  } dir;
+  return dir.path + "/" + leaf;
 }
 
 std::vector<unsigned char> read_file(const std::string& path) {
