@@ -13,8 +13,11 @@
 #include <sstream>
 #include <thread>
 
+#include "core/design_space.hpp"
 #include "cpu/ooo_core.hpp"
 #include "exp/experiment_engine.hpp"
+#include "mem/cache.hpp"
+#include "mem/dram.hpp"
 #include "mem/perfect_memory.hpp"
 #include "model/analytic.hpp"
 #include "model/backend.hpp"
@@ -65,6 +68,62 @@ void evict_page_cache(const std::string& path) {
   (void)::fsync(fd);
   (void)::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
   ::close(fd);
+}
+
+/// The top of every knob's range in core::KnobLevels::standard(): the
+/// over-provisioned start of the LPM walk, where MSHR files, L2 banks and
+/// L1 ports are widest.
+const core::ArchKnobs kWideKnobs{16, 256, 256, 16, 64, 512};
+
+struct CountingSink final : mem::ResponseSink {
+  std::uint64_t responses = 0;
+  void on_response(const mem::MemResponse&) override { ++responses; }
+};
+
+/// Offers the loads and stores of `ops`, in order, to a standalone
+/// L1 -> L2 -> DRAM chain built from `m` as fast as the L1 accepts them
+/// (up to its port count per cycle), then drains the chain. Returns the
+/// number of accesses issued.
+std::uint64_t run_mem_chain(const sim::MachineConfig& m,
+                            const std::vector<trace::MicroOp>& ops) {
+  mem::Dram dram(m.dram);
+  mem::CacheConfig l2cfg = m.l2;
+  l2cfg.num_cores = 1;
+  mem::Cache l2(l2cfg, &dram, /*id_space=*/1000);
+  mem::CacheConfig l1cfg = m.l1;
+  l1cfg.num_cores = 1;
+  mem::Cache l1(l1cfg, &l2, /*id_space=*/100);
+  CountingSink sink;
+  std::size_t i = 0;
+  std::uint64_t issued = 0;
+  for (Cycle now = 0; i < ops.size() || l1.busy() || l2.busy() || dram.busy();
+       ++now) {
+    util::require(now < 1'000'000'000, "perf: memory chain did not drain");
+    dram.tick(now);
+    l2.tick(now);
+    l1.tick(now);
+    for (std::uint32_t port = 0; port < l1cfg.ports && i < ops.size();) {
+      const trace::MicroOp& op = ops[i];
+      if (!trace::is_memory(op.type)) {
+        ++i;
+        continue;
+      }
+      mem::MemRequest req;
+      req.id = issued + 1;
+      req.core = 0;
+      req.addr = op.addr;
+      req.kind = op.type == trace::OpType::kStore ? mem::AccessKind::kWrite
+                                                  : mem::AccessKind::kRead;
+      req.created = now;
+      req.reply_to = &sink;
+      if (!l1.try_access(req)) break;
+      ++issued;
+      ++port;
+      ++i;
+    }
+  }
+  util::require(sink.responses == issued, "perf: memory chain lost a response");
+  return issued;
 }
 
 /// Drains `source` to exhaustion in simulator-sized chunks, returning the
@@ -227,21 +286,26 @@ PerfReport run_perf_suite(const PerfOptions& opts) {
     if (!temp_path.empty()) std::remove(temp_path.c_str());
   }
 
-  // Phase 5: the OoO core alone — the loop of sim::measure_cpi_exe, an
-  // OooCore against a port-unlimited PerfectMemory at the L1 hit latency.
-  // The stream is generated up front, so the clock sees only the core (and
-  // a copy per 256-op chunk out of the materialized vector). One pass takes
-  // tens of milliseconds, so the fastest of three passes is reported.
+  // The workload's stream, materialized once for the core and memory
+  // phases so neither clock sees trace generation.
+  std::vector<trace::MicroOp> ops;
   {
     trace::SyntheticTrace gen(workload);
-    std::vector<trace::MicroOp> ops;
     ops.reserve(opts.length);
     std::vector<trace::MicroOp> chunk(4096);
     while (const std::size_t got = gen.fill(chunk.data(), chunk.size())) {
       ops.insert(ops.end(), chunk.begin(),
                  chunk.begin() + static_cast<std::ptrdiff_t>(got));
     }
-    trace::VectorTrace stream("perf-core", std::move(ops));
+  }
+
+  // Phase 5: the OoO core alone — the loop of sim::measure_cpi_exe, an
+  // OooCore against a port-unlimited PerfectMemory at the L1 hit latency.
+  // The clock sees only the core (and a copy per 256-op chunk out of the
+  // materialized vector). One pass takes tens of milliseconds, so the
+  // fastest of three passes is reported.
+  {
+    trace::VectorTrace stream("perf-core", ops);
     const sim::MachineConfig machine = sim::MachineConfig::single_core_default();
     for (int pass = 0; pass < 3; ++pass) {
       stream.reset();
@@ -257,6 +321,44 @@ PerfReport run_perf_suite(const PerfOptions& opts) {
         report.wall_seconds_core = wall;
       }
       report.core_instructions = core.stats().instructions;
+    }
+  }
+
+  // Phase 6: live trace synthesis — the same 410.bwaves stream drained
+  // through SyntheticTrace::fill into a reused chunk, fastest of three.
+  {
+    std::vector<trace::MicroOp> chunk(4096);
+    for (int pass = 0; pass < 3; ++pass) {
+      trace::SyntheticTrace gen(workload);
+      std::uint64_t produced = 0;
+      const auto start = Clock::now();
+      while (const std::size_t got = gen.fill(chunk.data(), chunk.size())) {
+        produced += got;
+      }
+      const double wall = seconds_since(start);
+      if (pass == 0 || wall < report.wall_seconds_trace_gen) {
+        report.wall_seconds_trace_gen = wall;
+      }
+      report.trace_gen_ops = produced;
+    }
+  }
+
+  // Phase 7: the memory hierarchy alone — the stream's loads and stores
+  // through a standalone L1 -> L2 -> DRAM chain at the top of every knob's
+  // range (the walk's over-provisioned start: 16 L1 ports, 64 L1 / 128 L2
+  // MSHRs, L2 interleave 512), offered as fast as the L1 accepts them.
+  // Fastest of three.
+  {
+    const sim::MachineConfig machine =
+        kWideKnobs.apply(sim::MachineConfig::single_core_default());
+    for (int pass = 0; pass < 3; ++pass) {
+      const auto start = Clock::now();
+      const std::uint64_t accesses = run_mem_chain(machine, ops);
+      const double wall = seconds_since(start);
+      if (pass == 0 || wall < report.wall_seconds_mem) {
+        report.wall_seconds_mem = wall;
+      }
+      report.mem_accesses = accesses;
     }
   }
 
@@ -278,6 +380,10 @@ PerfReport run_perf_suite(const PerfOptions& opts) {
                                        report.wall_seconds_trace_warm);
   report.core_instr_per_sec = rate(static_cast<double>(report.core_instructions),
                                    report.wall_seconds_core);
+  report.trace_gen_ops_per_sec = rate(static_cast<double>(report.trace_gen_ops),
+                                      report.wall_seconds_trace_gen);
+  report.mem_accesses_per_sec = rate(static_cast<double>(report.mem_accesses),
+                                     report.wall_seconds_mem);
   return report;
 }
 
@@ -303,6 +409,12 @@ std::string to_json(const PerfReport& r) {
      << ",\"core_instructions\":" << r.core_instructions
      << ",\"wall_seconds_core\":" << util::fmt(r.wall_seconds_core, 6)
      << ",\"core_instr_per_sec\":" << util::fmt(r.core_instr_per_sec, 1)
+     << ",\"trace_gen_ops\":" << r.trace_gen_ops
+     << ",\"wall_seconds_trace_gen\":" << util::fmt(r.wall_seconds_trace_gen, 6)
+     << ",\"trace_gen_ops_per_sec\":" << util::fmt(r.trace_gen_ops_per_sec, 1)
+     << ",\"mem_accesses\":" << r.mem_accesses
+     << ",\"wall_seconds_mem\":" << util::fmt(r.wall_seconds_mem, 6)
+     << ",\"mem_accesses_per_sec\":" << util::fmt(r.mem_accesses_per_sec, 1)
      << "}\n";
   return os.str();
 }
@@ -352,6 +464,19 @@ PerfReport parse_report(const std::string& json_text) {
       json.get_number("core_instructions").value_or(0.0));
   r.wall_seconds_core = json.get_number("wall_seconds_core").value_or(0.0);
   r.core_instr_per_sec = json.get_number("core_instr_per_sec").value_or(0.0);
+  // Optional — absent before the trace-generation and memory-chain phases;
+  // 0 = not measured.
+  r.trace_gen_ops = static_cast<std::uint64_t>(
+      json.get_number("trace_gen_ops").value_or(0.0));
+  r.wall_seconds_trace_gen =
+      json.get_number("wall_seconds_trace_gen").value_or(0.0);
+  r.trace_gen_ops_per_sec =
+      json.get_number("trace_gen_ops_per_sec").value_or(0.0);
+  r.mem_accesses = static_cast<std::uint64_t>(
+      json.get_number("mem_accesses").value_or(0.0));
+  r.wall_seconds_mem = json.get_number("wall_seconds_mem").value_or(0.0);
+  r.mem_accesses_per_sec =
+      json.get_number("mem_accesses_per_sec").value_or(0.0);
   return r;
 }
 
@@ -403,6 +528,14 @@ BaselineCheck check_against_baseline(const PerfReport& current,
   if (baseline.core_instr_per_sec > 0.0) {
     gate("core_instr_per_sec", current.core_instr_per_sec,
          baseline.core_instr_per_sec);
+  }
+  if (baseline.trace_gen_ops_per_sec > 0.0) {
+    gate("trace_gen_ops_per_sec", current.trace_gen_ops_per_sec,
+         baseline.trace_gen_ops_per_sec);
+  }
+  if (baseline.mem_accesses_per_sec > 0.0) {
+    gate("mem_accesses_per_sec", current.mem_accesses_per_sec,
+         baseline.mem_accesses_per_sec);
   }
   return check;
 }

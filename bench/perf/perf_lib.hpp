@@ -30,6 +30,13 @@
 //     so trace generation stays outside the timed loop. The per-layer gate
 //     for the core: sim_cycles_per_sec lumps core, memory and trace
 //     generation into one number.
+//   * trace_gen_ops_per_sec — micro-ops per second of live synthesis
+//     (SyntheticTrace::fill) of the same 410.bwaves stream: the generator
+//     every cycle-backend job pays for before the core sees an op.
+//   * mem_accesses_per_sec — the stream's loads and stores per second
+//     through a standalone L1 -> L2 -> DRAM chain at the top of every
+//     knob's range (16 L1 ports, 64 L1 / 128 L2 MSHRs, L2 interleave 512,
+//     the LPM walk's over-provisioned start), with no core in the loop.
 //   * trace_cold_ops_per_sec / trace_warm_ops_per_sec — recorded-trace
 //     ingestion rate through the LPM2 mmap path (src/trace/mmap_trace.hpp):
 //     cold is a full drain after evicting the file from the page cache with
@@ -110,9 +117,18 @@ struct PerfReport {
   double wall_seconds_core = 0.0;
   /// OooCore + PerfectMemory only: the core layer's own throughput.
   double core_instr_per_sec = 0.0;
+  std::uint64_t trace_gen_ops = 0;  ///< ops synthesized, generation phase
+  double wall_seconds_trace_gen = 0.0;
+  /// SyntheticTrace::fill alone: the generator layer's own throughput.
+  double trace_gen_ops_per_sec = 0.0;
+  std::uint64_t mem_accesses = 0;  ///< loads + stores, memory-chain phase
+  double wall_seconds_mem = 0.0;
+  /// L1 -> L2 -> DRAM only, at the widest knob values: the memory layer's
+  /// own throughput.
+  double mem_accesses_per_sec = 0.0;
 };
 
-/// Runs both measurement phases. Deterministic in its simulated work;
+/// Runs every measurement phase. Deterministic in its simulated work;
 /// wall-clock numbers are machine-dependent by nature.
 [[nodiscard]] PerfReport run_perf_suite(const PerfOptions& opts = {});
 
@@ -136,9 +152,9 @@ struct BaselineCheck {
 /// Compares the throughput metrics against a baseline: metric m fails when
 /// m < baseline.m * (1 - tolerance). tolerance 0.30 absorbs CI-runner
 /// noise; exceeding the baseline never fails. analytic_configs_per_sec,
-/// the trace ingestion rates and core_instr_per_sec are gated only when the
-/// baseline carries them (> 0), so baselines written before those phases
-/// keep working.
+/// the trace ingestion rates, core_instr_per_sec, trace_gen_ops_per_sec and
+/// mem_accesses_per_sec are gated only when the baseline carries them
+/// (> 0), so baselines written before those phases keep working.
 [[nodiscard]] BaselineCheck check_against_baseline(const PerfReport& current,
                                                    const PerfReport& baseline,
                                                    double tolerance);

@@ -52,6 +52,8 @@ int main(int argc, char** argv) {
     std::printf("trace cold ops/sec  : %.3e\n", report.trace_cold_ops_per_sec);
     std::printf("trace warm ops/sec  : %.3e\n", report.trace_warm_ops_per_sec);
     std::printf("core instr/sec      : %.3e\n", report.core_instr_per_sec);
+    std::printf("trace gen ops/sec   : %.3e\n", report.trace_gen_ops_per_sec);
+    std::printf("mem accesses/sec    : %.3e\n", report.mem_accesses_per_sec);
 
     if (!baseline_path.empty()) {
       const perf::PerfReport baseline = perf::load_report(baseline_path);

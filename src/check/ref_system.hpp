@@ -1,8 +1,9 @@
 // Reference system: the oracle counterpart of sim::System.
 //
-// Wires RefCore + RefCache + RefAnalyzer into the same topology sim::System builds
-// (per-core L1s, optional private L2s, shared L2/LLC, DRAM) with identical
-// id spaces, seeds and tick order, and collects the same sim::SystemResult.
+// Wires RefCore + RefCache + RefDram + RefAnalyzer into the same topology
+// sim::System builds (per-core L1s, optional private L2s, shared L2/LLC,
+// DRAM) with identical id spaces, seeds and tick order, and collects the
+// same sim::SystemResult.
 // Differential testing runs both systems on one trace and requires
 // result-wise equality (SystemResult::operator==).
 //
@@ -24,7 +25,7 @@
 #include "check/ref_analyzer.hpp"
 #include "check/ref_cache.hpp"
 #include "check/ref_core.hpp"
-#include "mem/dram.hpp"
+#include "check/ref_dram.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/system.hpp"
 #include "trace/trace_source.hpp"
@@ -48,7 +49,7 @@ class RefSystem {
  private:
   sim::MachineConfig cfg_;
   std::vector<trace::TraceSourcePtr> traces_;
-  std::unique_ptr<mem::Dram> dram_;
+  std::unique_ptr<RefDram> dram_;
   std::unique_ptr<RefAnalyzer> dram_analyzer_;
   std::unique_ptr<RefCache> l2_;
   std::unique_ptr<RefAnalyzer> l2_analyzer_;

@@ -1,6 +1,7 @@
 #include "mem/cache.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -9,6 +10,12 @@ namespace lpm::mem {
 
 namespace {
 [[nodiscard]] bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
+
+/// Validates before any member sized from the config is built.
+CacheConfig validated(CacheConfig cfg) {
+  cfg.validate();
+  return cfg;
+}
 
 /// Rebuilds `rb` with at least `want` capacity, preserving FIFO order.
 /// Never shrinks (pools only ever need to grow on reconfiguration).
@@ -49,20 +56,21 @@ void CacheConfig::validate() const {
 }
 
 Cache::Cache(CacheConfig cfg, MemoryLevel* below, std::uint64_t id_space)
-    : cfg_(std::move(cfg)),
+    : cfg_(validated(std::move(cfg))),
       below_(below),
+      repl_(cfg_.replacement, cfg_.associativity, cfg_.num_sets()),
       mshr_(cfg_.mshr_entries, cfg_.mshr_targets),
       rng_(cfg_.seed),
       next_fill_id_(id_space << 40) {
-  cfg_.validate();
   util::require(below_ != nullptr, cfg_.name, ": lower level must exist");
+  block_shift_ = static_cast<unsigned>(std::countr_zero(cfg_.block_bytes));
+  interleave_shift_ = static_cast<unsigned>(std::countr_zero(cfg_.interleave_bytes));
+  set_mask_ = cfg_.num_sets() - 1;
+  bank_mask_ = cfg_.banks - 1;
   line_tags_.assign(cfg_.num_sets() * cfg_.associativity, kInvalidTag);
   line_flags_.assign(cfg_.num_sets() * cfg_.associativity, 0);
-  repl_.reserve(cfg_.num_sets());
-  for (std::uint64_t s = 0; s < cfg_.num_sets(); ++s) {
-    repl_.emplace_back(cfg_.replacement, cfg_.associativity);
-  }
   bank_accepts_.assign(cfg_.banks, 0);
+  banks_touched_.reserve(cfg_.banks);
   stats_.core_accesses.assign(cfg_.num_cores, 0);
   stats_.core_misses.assign(cfg_.num_cores, 0);
   effective_prefetch_degree_ = cfg_.prefetch_degree;
@@ -93,14 +101,6 @@ void Cache::reserve_pools() {
   // Prefetch candidates are capped at degree*8 (drop-oldest beyond that).
   grow_ring(prefetch_q_, std::max<std::size_t>(
                              1, static_cast<std::size_t>(cfg_.prefetch_degree) * 8));
-}
-
-std::uint64_t Cache::set_index(Addr addr) const {
-  return (addr / cfg_.block_bytes) & (cfg_.num_sets() - 1);
-}
-
-std::uint32_t Cache::bank_of(Addr addr) const {
-  return static_cast<std::uint32_t>((addr / cfg_.interleave_bytes) & (cfg_.banks - 1));
 }
 
 std::uint32_t Cache::find_way(Addr addr) const {
@@ -142,7 +142,7 @@ bool Cache::try_access(const MemRequest& req) {
   }
 
   ++accepted_this_cycle_;
-  ++bank_accepts_[bank];
+  if (bank_accepts_[bank]++ == 0) banks_touched_.push_back(bank);
   pipeline_.push(LookupEntry{req, now + cfg_.hit_latency, is_writeback});
 
   if (!is_writeback) {
@@ -180,13 +180,12 @@ void Cache::tick(Cycle now) {
   // (including late try_access calls from upper components) are complete.
   if (now > 0) sample_activity(now - 1);
 
-  // (2) Reset per-cycle acceptance accounting (bank counters only when
-  // something was accepted; they are already zero otherwise).
+  // (2) Reset per-cycle acceptance accounting: only the banks that
+  // accepted something are nonzero.
   accept_cycle_ = now;
-  if (accepted_this_cycle_ != 0) {
-    std::fill(bank_accepts_.begin(), bank_accepts_.end(), 0);
-    accepted_this_cycle_ = 0;
-  }
+  for (const std::uint32_t bank : banks_touched_) bank_accepts_[bank] = 0;
+  banks_touched_.clear();
+  accepted_this_cycle_ = 0;
 
   // Idle fast path: with nothing in flight anywhere, steps (3)-(7) are all
   // no-ops. This is the common case for upper levels whose working set fits
@@ -287,7 +286,6 @@ void Cache::launch_prefetches(Cycle now) {
       continue;  // prefetches never exceed their core's parallelism share
     }
     mshr_.allocate_prefetch(cand.block, now, cand.core);
-    ++mshr_unissued_;
     ++stats_.prefetches_issued;
     ++pf_window_issued_;
     adapt_prefetch_degree();
@@ -303,7 +301,7 @@ void Cache::complete_lookup(const LookupEntry& entry, Cycle now) {
   if (entry.is_writeback) {
     if (way != kNoWay) {
       line_flags_[slot] |= kLineDirty;
-      repl_[set_index(req.addr)].touch(way, ++repl_tick_);
+      repl_.touch(set_index(req.addr), way, ++repl_tick_);
       ++stats_.writeback_hits;
     } else {
       // No allocation on writeback miss: forward the dirty data downstream.
@@ -326,7 +324,7 @@ void Cache::complete_lookup(const LookupEntry& entry, Cycle now) {
       schedule_prefetches(block_addr(req.addr), req.core);
     }
     if (req.kind == AccessKind::kWrite) line_flags_[slot] |= kLineDirty;
-    repl_[set_index(req.addr)].touch(way, ++repl_tick_);
+    repl_.touch(set_index(req.addr), way, ++repl_tick_);
     if (probe_ != nullptr) probe_->on_hit(req.id, now);
     if (req.reply_to != nullptr) {
       req.reply_to->on_response(MemResponse{req.id, req.core, req.addr, now});
@@ -369,30 +367,24 @@ bool Cache::try_handle_miss(const MemRequest& req, Cycle miss_start, Cycle now) 
     return false;
   }
   mshr_.allocate(blk, target, now);
-  ++mshr_unissued_;
   return true;
 }
 
 void Cache::issue_pending_fills(Cycle now) {
-  if (mshr_unissued_ == 0) return;
-  const std::uint32_t cap = mshr_.capacity();
-  for (std::uint32_t idx = 0; idx < cap; ++idx) {
-    MshrEntry& e = mshr_.entry(idx);
-    if (!e.valid || e.issued) continue;
+  if (!mshr_.any_unissued()) return;
+  // Index order: the lowest unissued entry goes downstream first. A
+  // rejected fill keeps its entry unissued and is retried next cycle.
+  mshr_.for_each_unissued([&](std::uint32_t idx) {
+    const MshrEntry& e = mshr_.entry(idx);
     MemRequest fill;
     fill.id = next_fill_id_++;
     fill.core = e.targets.empty() ? e.core : e.targets.front().core;
-    fill.addr = e.block_addr;
+    fill.addr = mshr_.block(idx);
     fill.kind = AccessKind::kRead;
     fill.created = now;
     fill.reply_to = this;
-    if (below_->try_access(fill)) {
-      e.issued = true;
-      e.fill_id = fill.id;
-      if (--mshr_unissued_ == 0) return;
-    }
-    // On rejection we simply retry next cycle.
-  }
+    if (below_->try_access(fill)) mshr_.mark_issued(idx, fill.id);
+  });
 }
 
 bool Cache::try_install_fill(Addr blk, Cycle now) {
@@ -410,7 +402,7 @@ bool Cache::try_install_fill(Addr blk, Cycle now) {
     }
   }
   if (way == cfg_.associativity) {
-    way = repl_[set].victim(rng_);
+    way = repl_.victim(set, rng_);
     if ((line_flags_[base + way] & kLineDirty) != 0) {
       if (writeback_q_.size() >= cfg_.writeback_capacity) {
         return false;  // no room to evict; defer the install
@@ -432,7 +424,7 @@ bool Cache::try_install_fill(Addr blk, Cycle now) {
       mshr_.entry(*idx).is_prefetch && mshr_.entry(*idx).targets.empty();
   line_tags_[base + way] = blk;
   line_flags_[base + way] = pure_prefetch ? kLinePrefetched : 0;
-  repl_[set].fill(way, ++repl_tick_);
+  repl_.fill(set, way, ++repl_tick_);
   ++stats_.fills;
 
   mshr_.release_into(*idx, release_scratch_);

@@ -176,8 +176,14 @@ class Cache final : public MemoryLevel, public ResponseSink {
     bool is_writeback = false;
   };
 
-  [[nodiscard]] std::uint64_t set_index(Addr addr) const;
-  [[nodiscard]] std::uint32_t bank_of(Addr addr) const;
+  // Sizes are validated powers of two, so set and bank indices are a shift
+  // and a mask.
+  [[nodiscard]] std::uint64_t set_index(Addr addr) const {
+    return (addr >> block_shift_) & set_mask_;
+  }
+  [[nodiscard]] std::uint32_t bank_of(Addr addr) const {
+    return static_cast<std::uint32_t>((addr >> interleave_shift_) & bank_mask_);
+  }
   /// Way of `addr`'s block within its set, or kNoWay when absent.
   [[nodiscard]] std::uint32_t find_way(Addr addr) const;
 
@@ -196,9 +202,13 @@ class Cache final : public MemoryLevel, public ResponseSink {
   MemoryLevel* below_;          // non-owning
   AccessProbe* probe_ = nullptr;  // non-owning
 
+  unsigned block_shift_ = 0;       // log2(block_bytes)
+  unsigned interleave_shift_ = 0;  // log2(interleave_bytes)
+  std::uint64_t set_mask_ = 0;     // num_sets - 1
+  std::uint64_t bank_mask_ = 0;    // banks - 1
   std::vector<Addr> line_tags_;           // num_sets * assoc, row-major by set
   std::vector<std::uint8_t> line_flags_;  // kLineDirty | kLinePrefetched
-  std::vector<ReplacementState> repl_;
+  ReplacementTable repl_;
   MshrFile mshr_;
   util::Rng rng_;
 
@@ -240,6 +250,7 @@ class Cache final : public MemoryLevel, public ResponseSink {
   std::uint32_t runtime_mshr_limit_ = 1;  // live cap on MSHR allocations
   std::uint64_t reconfig_ops_ = 0;
   std::vector<std::uint32_t> bank_accepts_;  // per-bank accepts this cycle
+  std::vector<std::uint32_t> banks_touched_;  // banks with accepts != 0
   std::uint64_t repl_tick_ = 0;              // logical time for LRU/FIFO
   RequestId next_fill_id_;
   std::size_t mshr_wait_cap_;
@@ -247,7 +258,6 @@ class Cache final : public MemoryLevel, public ResponseSink {
   // Hot-path bookkeeping kept incrementally so per-cycle work is O(1) when
   // the cache is quiet:
   std::uint32_t demand_in_pipeline_ = 0;  // non-writeback lookups in flight
-  std::uint32_t mshr_unissued_ = 0;       // valid entries not yet sent below
   bool probe_quiesced_ = false;  // probe already saw a zero-activity cycle
   std::vector<MshrTarget> release_scratch_;  // reused by try_install_fill
 

@@ -1,6 +1,7 @@
 #include "mem/dram.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/error.hpp"
 
@@ -25,16 +26,11 @@ Dram::Dram(DramConfig cfg) : cfg_(std::move(cfg)) {
   cfg_.validate();
   banks_.assign(cfg_.banks, Bank{});
   queue_.reserve(cfg_.queue_capacity);
-}
-
-std::uint32_t Dram::bank_of(Addr addr) const {
-  return static_cast<std::uint32_t>((addr / cfg_.interleave_bytes) & (cfg_.banks - 1));
-}
-
-std::uint64_t Dram::row_of(Addr addr) const {
-  // Rows are striped across banks: drop the interleave bits belonging to the
-  // bank index, then divide by the row size.
-  return addr / (cfg_.row_bytes * cfg_.banks);
+  // Rows are striped across banks: the row index drops the interleave bits
+  // belonging to the bank index along with the row offset.
+  bank_shift_ = static_cast<unsigned>(std::countr_zero(cfg_.interleave_bytes));
+  row_shift_ = static_cast<unsigned>(std::countr_zero(cfg_.row_bytes) +
+                                     std::countr_zero(cfg_.banks));
 }
 
 bool Dram::try_access(const MemRequest& req) {
@@ -45,7 +41,10 @@ bool Dram::try_access(const MemRequest& req) {
   Pending p;
   p.req = req;
   p.accepted = accept_cycle_;
+  p.bank = static_cast<std::uint32_t>((req.addr >> bank_shift_) & (cfg_.banks - 1));
+  p.row = req.addr >> row_shift_;
   queue_.push_back(p);
+  ++waiting_;
   if (req.reply_to != nullptr) {
     ++demand_in_queue_;
     if (probe_ != nullptr) {
@@ -77,51 +76,37 @@ void Dram::tick(Cycle now) {
   issue_commands(now);
 }
 
-void Dram::issue_commands(Cycle now) {
-  std::uint32_t issued = 0;
-  // FR-FCFS with an age cap: row hits first (oldest row hit), then oldest
-  // request - but a request that has waited past the starvation threshold
-  // is served FCFS ahead of younger row hits.
-  while (issued < cfg_.max_issue_per_cycle) {
-    std::size_t pick = queue_.size();
-    // Pass 0: starved ready request (oldest first).
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      const Pending& p = queue_[i];
-      if (p.in_service) continue;
-      if (now - p.accepted < cfg_.starvation_threshold) continue;
-      if (banks_[bank_of(p.req.addr)].busy_until <= now) {
-        pick = i;
-        break;
-      }
-    }
-    // Pass 1: oldest ready row hit.
-    for (std::size_t i = 0; pick == queue_.size() && i < queue_.size(); ++i) {
-      const Pending& p = queue_[i];
-      if (p.in_service) continue;
-      const Bank& b = banks_[bank_of(p.req.addr)];
-      if (b.busy_until > now) continue;
-      if (b.row_open && b.open_row == row_of(p.req.addr)) {
-        pick = i;
-      }
-    }
-    // Pass 2: oldest ready request of any kind.
-    if (pick == queue_.size()) {
-      for (std::size_t i = 0; i < queue_.size(); ++i) {
-        const Pending& p = queue_[i];
-        if (p.in_service) continue;
-        if (banks_[bank_of(p.req.addr)].busy_until <= now) {
-          pick = i;
-          break;
-        }
-      }
-    }
-    if (pick == queue_.size()) break;  // nothing schedulable this cycle
+std::size_t Dram::pick(Cycle now) const {
+  // FR-FCFS with an age cap, in one pass over the age-ordered queue: a
+  // ready request that has waited past the starvation threshold is served
+  // first (oldest first), then the oldest ready row hit, then the oldest
+  // ready request. Acceptance times never decrease along the queue, so the
+  // starved requests form a prefix: the first ready row hit that is not
+  // starved ends the search.
+  const std::size_t n = queue_.size();
+  std::size_t oldest_ready = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Pending& p = queue_[i];
+    if (p.in_service) continue;
+    const Bank& b = banks_[p.bank];
+    if (b.busy_until > now) continue;
+    if (now - p.accepted >= cfg_.starvation_threshold) return i;
+    if (b.row_open && b.open_row == p.row) return i;
+    if (oldest_ready == n) oldest_ready = i;
+  }
+  return oldest_ready;
+}
 
-    Pending& p = queue_[pick];
-    Bank& b = banks_[bank_of(p.req.addr)];
-    const std::uint64_t row = row_of(p.req.addr);
+void Dram::issue_commands(Cycle now) {
+  for (std::uint32_t issued = 0;
+       issued < cfg_.max_issue_per_cycle && waiting_ > 0; ++issued) {
+    const std::size_t i = pick(now);
+    if (i == queue_.size()) break;  // nothing schedulable this cycle
+
+    Pending& p = queue_[i];
+    Bank& b = banks_[p.bank];
     std::uint32_t latency = 0;
-    if (b.row_open && b.open_row == row) {
+    if (b.row_open && b.open_row == p.row) {
       latency = cfg_.t_cl + cfg_.t_burst;
       ++stats_.row_hits;
     } else if (!b.row_open) {
@@ -132,16 +117,21 @@ void Dram::issue_commands(Cycle now) {
       ++stats_.row_conflicts;
     }
     b.row_open = true;
-    b.open_row = row;
+    b.open_row = p.row;
     b.busy_until = now + latency;
     p.in_service = true;
     p.done_at = now + latency + cfg_.frontend_latency;
-    ++issued;
+    next_done_ = std::min(next_done_, p.done_at);
+    --waiting_;
   }
 }
 
 void Dram::complete_finished(Cycle now) {
-  for (std::size_t i = 0; i < queue_.size();) {
+  if (now < next_done_) return;
+  // Respond in queue (age) order and compact the survivors in place.
+  Cycle next_done = kNoCycle;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
     Pending& p = queue_[i];
     if (p.in_service && p.done_at <= now) {
       if (p.req.kind == AccessKind::kRead) {
@@ -158,11 +148,14 @@ void Dram::complete_finished(Cycle now) {
             MemResponse{p.req.id, p.req.core, p.req.addr, now});
         --demand_in_queue_;
       }
-      queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
+      continue;
     }
+    if (p.in_service) next_done = std::min(next_done, p.done_at);
+    if (kept != i) queue_[kept] = p;
+    ++kept;
   }
+  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(kept), queue_.end());
+  next_done_ = next_done;
 }
 
 void Dram::finalize(Cycle end_cycle) { sample_activity(end_cycle); }

@@ -78,22 +78,29 @@ class Dram final : public MemoryLevel {
   struct Pending {
     MemRequest req;
     Cycle accepted = 0;
+    std::uint64_t row = 0;   ///< computed once, at accept time
+    std::uint32_t bank = 0;  ///< computed once, at accept time
     bool in_service = false;
     Cycle done_at = kNoCycle;
   };
 
-  [[nodiscard]] std::uint32_t bank_of(Addr addr) const;
-  [[nodiscard]] std::uint64_t row_of(Addr addr) const;
   void sample_activity(Cycle cycle);
+  /// FR-FCFS pick for one issue slot: index of the request to issue, or
+  /// queue_.size() when none is schedulable.
+  [[nodiscard]] std::size_t pick(Cycle now) const;
   void issue_commands(Cycle now);
   void complete_finished(Cycle now);
 
   DramConfig cfg_;
   AccessProbe* probe_ = nullptr;  // non-owning
   std::vector<Bank> banks_;
-  // Bounded by queue_capacity and scanned in age order by FR-FCFS; a
-  // reserved vector keeps it allocation-free and cache-contiguous.
+  // Bounded by queue_capacity and kept in age (accept) order; a reserved
+  // vector keeps it allocation-free and cache-contiguous.
   std::vector<Pending> queue_;
+  unsigned bank_shift_ = 0;    // log2(interleave_bytes)
+  unsigned row_shift_ = 0;     // log2(row_bytes * banks)
+  std::uint32_t waiting_ = 0;  // queued requests not yet in service
+  Cycle next_done_ = kNoCycle;  // earliest done_at in service
   Cycle accept_cycle_ = 0;
   std::uint32_t demand_in_queue_ = 0;  // queued requests with a reply sink
   bool probe_quiesced_ = false;  // probe already saw a zero-demand cycle

@@ -5,26 +5,22 @@
 namespace lpm::mem {
 
 MshrFile::MshrFile(std::uint32_t entries, std::uint32_t max_targets)
-    : entries_(entries), max_targets_(max_targets), free_(entries) {
+    : tags_(entries, kNoBlock),
+      entries_(entries),
+      free_bits_((entries + 63) / 64, 0),
+      unissued_((entries + 63) / 64, 0),
+      max_targets_(max_targets),
+      free_(entries) {
   util::require(entries >= 1, "MshrFile: need at least one entry");
   util::require(max_targets >= 1, "MshrFile: need at least one target per entry");
+  for (std::uint32_t i = 0; i < entries; ++i) set_bit(free_bits_, i);
   for (auto& e : entries_) {
     e.targets.reserve(max_targets);
   }
 }
 
-std::optional<std::uint32_t> MshrFile::find(Addr block_addr) const {
-  for (std::uint32_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].valid && entries_[i].block_addr == block_addr) {
-      return i;
-    }
-  }
-  return std::nullopt;
-}
-
 bool MshrFile::can_add_target(std::uint32_t idx) const {
-  const auto& e = entries_.at(idx);
-  return e.valid && e.targets.size() < max_targets_;
+  return valid(idx) && entries_[idx].targets.size() < max_targets_;
 }
 
 std::uint32_t MshrFile::allocate(Addr block_addr, const MshrTarget& target, Cycle now) {
@@ -36,28 +32,43 @@ std::uint32_t MshrFile::allocate(Addr block_addr, const MshrTarget& target, Cycl
 
 std::uint32_t MshrFile::allocate_prefetch(Addr block_addr, Cycle now, CoreId core) {
   util::require(can_allocate(), "MshrFile::allocate without free entry");
+  util::require(block_addr != kNoBlock, "MshrFile::allocate: invalid block address");
   util::require(!find(block_addr).has_value(),
                 "MshrFile::allocate: duplicate entry for block");
-  for (std::uint32_t i = 0; i < entries_.size(); ++i) {
-    if (!entries_[i].valid) {
-      entries_[i].valid = true;
-      entries_[i].issued = false;
-      entries_[i].is_prefetch = true;
-      entries_[i].core = core;
-      entries_[i].fill_id = kNoRequest;
-      entries_[i].block_addr = block_addr;
-      entries_[i].allocated = now;
-      entries_[i].targets.clear();
-      --free_;
-      return i;
-    }
-  }
-  throw util::LpmError("MshrFile::allocate: internal inconsistency");
+  std::size_t w = 0;
+  while (free_bits_[w] == 0) ++w;  // free_ > 0 guarantees a set bit
+  const auto i = static_cast<std::uint32_t>(
+      w * 64 + static_cast<std::size_t>(std::countr_zero(free_bits_[w])));
+  clear_bit(free_bits_, i);
+  set_bit(unissued_, i);
+  ++unissued_count_;
+  tags_[i] = block_addr;
+  MshrEntry& e = entries_[i];
+  e.is_prefetch = true;
+  e.core = core;
+  e.fill_id = kNoRequest;
+  e.allocated = now;
+  e.targets.clear();
+  --free_;
+  if (i >= limit_) limit_ = i + 1;
+  return i;
 }
 
 void MshrFile::add_target(std::uint32_t idx, const MshrTarget& target) {
   util::require(can_add_target(idx), "MshrFile::add_target on full/invalid entry");
-  entries_.at(idx).targets.push_back(target);
+  entries_[idx].targets.push_back(target);
+}
+
+bool MshrFile::issued(std::uint32_t idx) const {
+  util::require(valid(idx), "MshrFile::issued on invalid entry");
+  return (unissued_[idx >> 6] & (std::uint64_t{1} << (idx & 63))) == 0;
+}
+
+void MshrFile::mark_issued(std::uint32_t idx, RequestId fill_id) {
+  util::require(!issued(idx), "MshrFile::mark_issued twice");
+  clear_bit(unissued_, idx);
+  --unissued_count_;
+  entries_[idx].fill_id = fill_id;
 }
 
 std::vector<MshrTarget> MshrFile::release(std::uint32_t idx) {
@@ -67,13 +78,17 @@ std::vector<MshrTarget> MshrFile::release(std::uint32_t idx) {
 }
 
 void MshrFile::release_into(std::uint32_t idx, std::vector<MshrTarget>& out) {
-  auto& e = entries_.at(idx);
-  util::require(e.valid, "MshrFile::release on invalid entry");
+  util::require(valid(idx), "MshrFile::release on invalid entry");
+  if (!issued(idx)) {
+    clear_bit(unissued_, idx);
+    --unissued_count_;
+  }
+  tags_[idx] = kNoBlock;
+  set_bit(free_bits_, idx);
+  while (limit_ > 0 && tags_[limit_ - 1] == kNoBlock) --limit_;
+  MshrEntry& e = entries_[idx];
   out.clear();
   out.swap(e.targets);  // entry inherits out's old storage
-  e.block_addr = 0;
-  e.valid = false;
-  e.issued = false;
   e.is_prefetch = false;
   e.core = kNoCore;
   e.fill_id = kNoRequest;
@@ -87,24 +102,24 @@ const MshrEntry& MshrFile::entry(std::uint32_t idx) const { return entries_.at(i
 
 std::uint32_t MshrFile::in_use_by(CoreId core) const {
   std::uint32_t n = 0;
-  for (const auto& e : entries_) {
-    if (e.valid && e.core == core) ++n;
+  for (std::uint32_t i = 0; i < limit_; ++i) {
+    if (tags_[i] != kNoBlock && entries_[i].core == core) ++n;
   }
   return n;
 }
 
 std::uint32_t MshrFile::outstanding_targets() const {
   std::uint32_t n = 0;
-  for (const auto& e : entries_) {
-    if (e.valid) n += static_cast<std::uint32_t>(e.targets.size());
+  for (std::uint32_t i = 0; i < limit_; ++i) {
+    if (tags_[i] != kNoBlock) n += static_cast<std::uint32_t>(entries_[i].targets.size());
   }
   return n;
 }
 
 std::vector<std::uint32_t> MshrFile::valid_entries() const {
   std::vector<std::uint32_t> out;
-  for (std::uint32_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].valid) out.push_back(i);
+  for (std::uint32_t i = 0; i < limit_; ++i) {
+    if (tags_[i] != kNoBlock) out.push_back(i);
   }
   return out;
 }

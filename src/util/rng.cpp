@@ -7,10 +7,6 @@ namespace lpm::util {
 
 namespace {
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 std::uint64_t splitmix64(std::uint64_t& x) {
   x += 0x9e3779b97f4a7c15ULL;
   std::uint64_t z = x;
@@ -33,30 +29,6 @@ void Rng::reseed(std::uint64_t seed) {
   }
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::next_below(std::uint64_t bound) {
-  require(bound > 0, "Rng::next_below: bound must be positive");
-  // Lemire-style rejection: accept unless in the biased tail.
-  const std::uint64_t threshold = (~bound + 1) % bound;  // (2^64 - bound) mod bound
-  for (;;) {
-    const std::uint64_t r = next_u64();
-    if (r >= threshold) {
-      return r % bound;
-    }
-  }
-}
-
 std::uint64_t Rng::next_in(std::uint64_t lo, std::uint64_t hi) {
   require(lo <= hi, "Rng::next_in: lo must be <= hi");
   const std::uint64_t span = hi - lo;
@@ -64,17 +36,6 @@ std::uint64_t Rng::next_in(std::uint64_t lo, std::uint64_t hi) {
     return next_u64();
   }
   return lo + next_below(span + 1);
-}
-
-double Rng::next_double() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::next_bool(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return next_double() < p;
 }
 
 std::uint64_t Rng::next_geometric(double p) {

@@ -26,20 +26,52 @@ class Rng {
   void reseed(std::uint64_t seed);
 
   /// Next raw 64-bit value.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound). bound must be > 0. Uses rejection sampling to
   /// avoid modulo bias.
-  std::uint64_t next_below(std::uint64_t bound);
+  std::uint64_t next_below(std::uint64_t bound) {
+    require(bound > 0, "Rng::next_below: bound must be positive");
+    // A power of two has no biased tail ((2^64 - bound) mod bound == 0), so
+    // the first draw is always accepted and the modulo is a mask: the same
+    // value and the same stream advance as the general path, without the
+    // two 64-bit divisions.
+    if ((bound & (bound - 1)) == 0) return next_u64() & (bound - 1);
+    // Lemire-style rejection: accept unless in the biased tail.
+    const std::uint64_t threshold = (~bound + 1) % bound;  // (2^64 - bound) mod bound
+    for (;;) {
+      const std::uint64_t r = next_u64();
+      if (r >= threshold) {
+        return r % bound;
+      }
+    }
+  }
 
   /// Uniform in [lo, hi] inclusive. Requires lo <= hi.
   std::uint64_t next_in(std::uint64_t lo, std::uint64_t hi);
 
   /// Uniform double in [0, 1).
-  double next_double();
+  double next_double() {
+    // 53 random mantissa bits -> uniform in [0, 1).
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Bernoulli trial with probability p (clamped to [0,1]).
-  bool next_bool(double p);
+  bool next_bool(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return next_double() < p;
+  }
 
   /// Geometric distribution: number of failures before first success,
   /// success probability p in (0, 1].
@@ -56,6 +88,10 @@ class Rng {
   Rng fork(std::uint64_t tag);
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> s_{};
 };
 

@@ -11,6 +11,7 @@
 #include "check/diff.hpp"
 #include "check/ref_system.hpp"
 #include "check/replay.hpp"
+#include "core/design_space.hpp"
 #include "sim/machine_config.hpp"
 #include "trace/spec_like.hpp"
 #include "trace/synthetic.hpp"
@@ -119,6 +120,50 @@ TEST(RefModel, StepByStepStateAgrees) {
     if (!opt_stepped) break;
   }
   EXPECT_EQ(opt.now(), ref.now());
+}
+
+// The shapes the LPM walk reaches are far wider than the fuzzer's draws
+// (2-16 MSHRs, 1-2 banks, DRAM queues of 8-32, ROBs of at most 64), so the
+// wide MSHR files, heavily banked L2s and deep DRAM queues get curated
+// cases of their own.
+TEST(RefModel, TableIConfigsMatchOnBwaves) {
+  const core::ArchKnobs columns[] = {
+      core::ArchKnobs::config_a(), core::ArchKnobs::config_b(),
+      core::ArchKnobs::config_c(), core::ArchKnobs::config_d(),
+      core::ArchKnobs::config_e()};
+  std::uint64_t seed = 71;
+  for (const core::ArchKnobs& knobs : columns) {
+    SCOPED_TRACE(knobs.label());
+    const sim::MachineConfig machine =
+        knobs.apply(sim::MachineConfig::single_core_default());
+    expect_identical(make_case(
+        machine, {spec_ops(trace::SpecBenchmark::kBwaves, 5000, seed++)}));
+  }
+}
+
+TEST(RefModel, OverProvisionedWalkStartMatches) {
+  // The top of every knob's range: issue 16, 256-entry window and ROB, 16
+  // L1 ports, 64 L1 MSHRs (128 at L2) and L2 interleave 512.
+  const core::ArchKnobs top{16, 256, 256, 16, 64, 512};
+  const sim::MachineConfig machine =
+      top.apply(sim::MachineConfig::single_core_default());
+  ASSERT_EQ(machine.l2.mshr_entries, 128u);
+  expect_identical(make_case(
+      machine, {spec_ops(trace::SpecBenchmark::kBwaves, 8000, 81)}));
+}
+
+TEST(RefModel, Nuca16SixteenAppsMatch) {
+  // Sixteen cores contending for a 16-bank LLC with 64 MSHRs and a DRAM
+  // controller with a 256-entry queue issuing 8 commands per cycle.
+  const sim::MachineConfig machine = sim::MachineConfig::nuca16();
+  ASSERT_EQ(machine.dram.queue_capacity, 256u);
+  std::vector<std::vector<trace::MicroOp>> ops;
+  std::uint64_t seed = 91;
+  for (const trace::SpecBenchmark b : trace::all_spec_benchmarks()) {
+    ops.push_back(spec_ops(b, 2000, seed++));
+  }
+  ASSERT_EQ(ops.size(), machine.num_cores);
+  expect_identical(make_case(machine, std::move(ops)));
 }
 
 }  // namespace

@@ -36,7 +36,9 @@ TEST(PerfReport, EmitsRequiredSchema) {
         "analytic_configs_per_sec", "trace_ops", "wall_seconds_trace_cold",
         "wall_seconds_trace_warm", "trace_cold_ops_per_sec",
         "trace_warm_ops_per_sec", "core_instructions", "wall_seconds_core",
-        "core_instr_per_sec"}) {
+        "core_instr_per_sec", "trace_gen_ops", "wall_seconds_trace_gen",
+        "trace_gen_ops_per_sec", "mem_accesses", "wall_seconds_mem",
+        "mem_accesses_per_sec"}) {
     const auto value = parsed.get_number(key);
     ASSERT_TRUE(value.has_value()) << "missing key " << key;
     EXPECT_GE(*value, 0.0) << key;
@@ -58,6 +60,13 @@ TEST(PerfReport, EmitsRequiredSchema) {
   // The core-only phase retired the whole materialized stream.
   EXPECT_EQ(report.core_instructions, tiny_options().length);
   EXPECT_GT(report.core_instr_per_sec, 0.0);
+  // The generation phase synthesized the whole stream; the memory chain
+  // saw its loads and stores (a strict subset of the ops).
+  EXPECT_EQ(report.trace_gen_ops, tiny_options().length);
+  EXPECT_GT(report.trace_gen_ops_per_sec, 0.0);
+  EXPECT_GT(report.mem_accesses, 0u);
+  EXPECT_LT(report.mem_accesses, tiny_options().length);
+  EXPECT_GT(report.mem_accesses_per_sec, 0.0);
 }
 
 TEST(PerfReport, JsonRoundTrips) {
@@ -82,6 +91,12 @@ TEST(PerfReport, JsonRoundTrips) {
   r.core_instructions = 3000;
   r.wall_seconds_core = 0.001;
   r.core_instr_per_sec = 3.0e6;
+  r.trace_gen_ops = 5000;
+  r.wall_seconds_trace_gen = 0.002;
+  r.trace_gen_ops_per_sec = 2.5e6;
+  r.mem_accesses = 1200;
+  r.wall_seconds_mem = 0.004;
+  r.mem_accesses_per_sec = 3.0e5;
 
   const PerfReport back = parse_report(to_json(r));
   EXPECT_EQ(back.bench, r.bench);
@@ -98,6 +113,12 @@ TEST(PerfReport, JsonRoundTrips) {
   EXPECT_DOUBLE_EQ(back.trace_warm_ops_per_sec, r.trace_warm_ops_per_sec);
   EXPECT_EQ(back.core_instructions, r.core_instructions);
   EXPECT_DOUBLE_EQ(back.core_instr_per_sec, r.core_instr_per_sec);
+  EXPECT_EQ(back.trace_gen_ops, r.trace_gen_ops);
+  EXPECT_DOUBLE_EQ(back.wall_seconds_trace_gen, r.wall_seconds_trace_gen);
+  EXPECT_DOUBLE_EQ(back.trace_gen_ops_per_sec, r.trace_gen_ops_per_sec);
+  EXPECT_EQ(back.mem_accesses, r.mem_accesses);
+  EXPECT_DOUBLE_EQ(back.wall_seconds_mem, r.wall_seconds_mem);
+  EXPECT_DOUBLE_EQ(back.mem_accesses_per_sec, r.mem_accesses_per_sec);
 }
 
 TEST(PerfReport, LegacyReportsWithoutAnalyticKeysStillParse) {
@@ -116,12 +137,32 @@ TEST(PerfReport, LegacyReportsWithoutAnalyticKeysStillParse) {
   EXPECT_DOUBLE_EQ(baseline.trace_cold_ops_per_sec, 0.0);
   EXPECT_DOUBLE_EQ(baseline.trace_warm_ops_per_sec, 0.0);
   EXPECT_DOUBLE_EQ(baseline.core_instr_per_sec, 0.0);
+  EXPECT_EQ(baseline.trace_gen_ops, 0u);
+  EXPECT_DOUBLE_EQ(baseline.trace_gen_ops_per_sec, 0.0);
+  EXPECT_EQ(baseline.mem_accesses, 0u);
+  EXPECT_DOUBLE_EQ(baseline.mem_accesses_per_sec, 0.0);
 
   PerfReport current = baseline;
   current.analytic_configs_per_sec = 0.0;  // even "no analytic phase" passes
   current.trace_cold_ops_per_sec = 0.0;    // ...and "no ingestion phase"
   current.trace_warm_ops_per_sec = 0.0;
   EXPECT_TRUE(check_against_baseline(current, baseline, 0.30).ok);
+
+  // A baseline from before the generation and memory-chain phases (it
+  // carries core_instr_per_sec, the previous newest gate) never gates them.
+  const PerfReport core_era = parse_report(
+      "{\"bench\":\"lpm_convergence\",\"cycles\":10,\"instructions\":20,"
+      "\"jobs\":2,\"wall_seconds_simulate\":1.0,\"wall_seconds_engine\":1.0,"
+      "\"sim_cycles_per_sec\":10.0,\"instructions_per_sec\":20.0,"
+      "\"engine_jobs_per_sec\":2.0,\"core_instructions\":400000,"
+      "\"wall_seconds_core\":0.1,\"core_instr_per_sec\":4000000.0}");
+  EXPECT_DOUBLE_EQ(core_era.core_instr_per_sec, 4.0e6);
+  EXPECT_DOUBLE_EQ(core_era.trace_gen_ops_per_sec, 0.0);
+  EXPECT_DOUBLE_EQ(core_era.mem_accesses_per_sec, 0.0);
+  PerfReport unmeasured = core_era;
+  unmeasured.trace_gen_ops_per_sec = 0.0;
+  unmeasured.mem_accesses_per_sec = 0.0;
+  EXPECT_TRUE(check_against_baseline(unmeasured, core_era, 0.30).ok);
 }
 
 TEST(PerfReport, ParseRejectsMissingKeys) {
@@ -138,9 +179,34 @@ TEST(PerfBaseline, GateFailsOnlyBelowTolerance) {
   baseline.trace_cold_ops_per_sec = 100.0;
   baseline.trace_warm_ops_per_sec = 200.0;
   baseline.core_instr_per_sec = 4000.0;
+  baseline.trace_gen_ops_per_sec = 8000.0;
+  baseline.mem_accesses_per_sec = 3000.0;
 
   PerfReport current = baseline;
   EXPECT_TRUE(check_against_baseline(current, baseline, 0.30).ok);
+
+  // The generation and memory-chain phases have their own floors.
+  current.trace_gen_ops_per_sec = 5500.0;  // 69% of baseline
+  current.mem_accesses_per_sec = 2200.0;   // 73%: inside the tolerance
+  {
+    const BaselineCheck failed =
+        check_against_baseline(current, baseline, 0.30);
+    EXPECT_FALSE(failed.ok);
+    ASSERT_EQ(failed.failures.size(), 1u);
+    EXPECT_NE(failed.failures[0].find("trace_gen_ops_per_sec"),
+              std::string::npos);
+  }
+  current.trace_gen_ops_per_sec = baseline.trace_gen_ops_per_sec;
+  current.mem_accesses_per_sec = 2000.0;  // 67% of baseline
+  {
+    const BaselineCheck failed =
+        check_against_baseline(current, baseline, 0.30);
+    EXPECT_FALSE(failed.ok);
+    ASSERT_EQ(failed.failures.size(), 1u);
+    EXPECT_NE(failed.failures[0].find("mem_accesses_per_sec"),
+              std::string::npos);
+  }
+  current.mem_accesses_per_sec = baseline.mem_accesses_per_sec;
 
   // The core-only phase has its own floor.
   current.core_instr_per_sec = 2000.0;  // 50% of baseline
@@ -205,11 +271,14 @@ TEST(PerfBaseline, CommittedBaselineParses) {
   EXPECT_GT(baseline.sim_cycles_per_sec, 0.0);
   EXPECT_GT(baseline.instructions_per_sec, 0.0);
   EXPECT_GT(baseline.engine_jobs_per_sec, 0.0);
-  // The committed baseline carries the analytic, ingestion and core gates.
+  // The committed baseline carries the analytic, ingestion, core,
+  // generation and memory-chain gates.
   EXPECT_GT(baseline.analytic_configs_per_sec, 0.0);
   EXPECT_GT(baseline.trace_cold_ops_per_sec, 0.0);
   EXPECT_GT(baseline.trace_warm_ops_per_sec, 0.0);
   EXPECT_GT(baseline.core_instr_per_sec, 0.0);
+  EXPECT_GT(baseline.trace_gen_ops_per_sec, 0.0);
+  EXPECT_GT(baseline.mem_accesses_per_sec, 0.0);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // the batched path, and a System replaying a recorded LPM2 file produces
 // the exact SystemResult of the live synthetic stream on all 16 profiles.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <memory>
@@ -22,6 +23,12 @@
 
 namespace lpm::trace {
 namespace {
+
+// ctest runs each test as its own process, in parallel: a fixed temp name
+// lets one process remove or rewrite a file another has mapped.
+std::string temp_path(const std::string& leaf) {
+  return testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + leaf;
+}
 
 std::vector<MicroOp> drain_with_next(TraceSource& src) {
   std::vector<MicroOp> ops;
@@ -90,7 +97,7 @@ TEST(FillDeterminism, VectorTraceMatchesNext) {
 }
 
 TEST(FillDeterminism, FileTraceMatchesNext) {
-  const std::string path = testing::TempDir() + "/lpm_fill_determinism.bin";
+  const std::string path = temp_path("lpm_fill_determinism.bin");
   SyntheticTrace gen(spec_profile(SpecBenchmark::kSoplex, 3000, 11));
   record_trace(gen, path);
 
@@ -159,7 +166,7 @@ TEST(FillDeterminism, SystemResultIdenticalBatchedVsUnbatched) {
 class Lpm2Determinism : public testing::Test {
  protected:
   void SetUp() override {
-    path_ = testing::TempDir() + "/lpm_fill_determinism.lpm2";
+    path_ = temp_path("lpm_fill_determinism.lpm2");
     profile_ = spec_profile(SpecBenchmark::kGcc, 5000, 23);
     SyntheticTrace gen(profile_);
     record_trace_v2(gen, path_);
@@ -208,7 +215,7 @@ TEST_F(Lpm2Determinism, MidStreamResetReplaysTheIdenticalStream) {
 }
 
 TEST_F(Lpm2Determinism, V1ResidentAndV2StreamingReplayIdentically) {
-  const std::string v1_path = testing::TempDir() + "/lpm_fill_determinism.lpmt";
+  const std::string v1_path = temp_path("lpm_fill_determinism.lpmt");
   SyntheticTrace gen(profile_);
   record_trace(gen, v1_path);
 
@@ -223,7 +230,7 @@ TEST(FillDeterminism, MmapReplayMatchesLiveSyntheticOnAllSpecProfiles) {
   // The record → mmap-replay → simulate path must be bit-identical to
   // simulating the live generator, for every profile in the catalog.
   // Alternate delivery modes across profiles so both are load-bearing.
-  const std::string path = testing::TempDir() + "/lpm_fill_det_profiles.lpm2";
+  const std::string path = temp_path("lpm_fill_det_profiles.lpm2");
   std::size_t i = 0;
   for (const SpecBenchmark bench : all_spec_benchmarks()) {
     const auto profile = spec_profile(bench, 4000, 29 + i);
