@@ -44,7 +44,7 @@ OooCore::OooCore(CoreConfig cfg, trace::TraceSource* source, mem::MemoryLevel* l
   util::require(source_ != nullptr, cfg_.name, ": trace source must exist");
   util::require(l1_ != nullptr, cfg_.name, ": L1 must exist");
   l1_cache_ = dynamic_cast<mem::Cache*>(l1_);
-  executing_.reserve(cfg_.rob_size);  // executing ALU ops are ROB-bounded
+  wheel_.fill(kNoEdge);
   // A response is only in flight for an accepted memory op, so the LSQ depth
   // bounds the response queue.
   responses_ = util::RingBuffer<mem::MemResponse>(cfg_.lsq_size);
@@ -61,10 +61,10 @@ bool OooCore::refill_trace() {
   return chunk_len_ > 0;
 }
 
-void OooCore::add_producer(RobEntry& e, std::size_t slot, unsigned k,
-                           std::uint32_t dist) {
-  if (dist == 0 || static_cast<std::uint64_t>(dist) > e.index) return;
-  const std::uint64_t dep = e.index - dist;
+void OooCore::add_producer(RobEntry& e, std::uint64_t seq, std::size_t slot,
+                           unsigned k, std::uint32_t dist) {
+  if (dist == 0 || static_cast<std::uint64_t>(dist) > seq) return;
+  const std::uint64_t dep = seq - dist;
   if (dep < rob_.head_seq()) return;  // already retired
   RobEntry& producer = rob_.at_seq(dep);
   if (producer.state == State::kDone) return;
@@ -135,7 +135,7 @@ void OooCore::tick(Cycle now) {
   if (committed_this_cycle_ == 0 && !rob_.empty()) {
     const RobEntry& head = rob_.front();
     head_blocked_on_mem =
-        trace::is_memory(head.op.type) && head.state != State::kDone;
+        trace::is_memory(head.type) && head.state != State::kDone;
     if (head_blocked_on_mem) ++stats_.head_mem_stall_cycles;
   }
   if (committed_this_cycle_ > 0) ++stats_.commit_cycles;
@@ -150,43 +150,37 @@ void OooCore::tick(Cycle now) {
 }
 
 void OooCore::do_complete(Cycle now) {
-  // Only ALU ops pass through kExecuting, and an executing entry can neither
-  // commit nor be squashed, so its slot stays valid until completion;
-  // scanning this compact list replaces a full ROB sweep. Removal order
-  // within a cycle is immaterial: every due entry is marked, and its
-  // consumers woken, before commit/issue run.
-  for (std::size_t i = 0; i < executing_.size();) {
-    RobEntry& e = rob_.at_slot(executing_[i]);
-    if (e.done_at <= now) {
-      mark_done(e);
-      executing_[i] = executing_.back();
-      executing_.pop_back();
-    } else {
-      ++i;
-    }
+  // The bucket of this cycle holds exactly the ALU ops due now (ticks are
+  // consecutive). An executing entry can neither commit nor be squashed, so
+  // its slot stays valid until it is drained. Completion order within a
+  // cycle is immaterial: every due entry is marked, and its consumers
+  // woken, before commit/issue run.
+  std::uint32_t& bucket = wheel_[now % kWheelSize];
+  for (std::uint32_t slot = bucket; slot != kNoEdge;) {
+    RobEntry& e = rob_.at_slot(slot);
+    slot = e.wheel_next;
+    mark_done(e);
   }
+  bucket = kNoEdge;
 }
 
 void OooCore::do_commit(Cycle /*now*/) {
-  while (committed_this_cycle_ < cfg_.commit_width && !rob_.empty() &&
-         rob_.front().state == State::kDone) {
+  // Counted in locals and added once: the op type feeds sums, not a branch
+  // per retired op.
+  std::uint64_t n = 0, loads = 0, stores = 0;
+  while (committed_this_cycle_ + n < cfg_.commit_width && !rob_.empty()) {
     const RobEntry& e = rob_.front();
-    ++stats_.instructions;
-    switch (e.op.type) {
-      case trace::OpType::kLoad:
-        ++stats_.mem_ops;
-        ++stats_.loads;
-        break;
-      case trace::OpType::kStore:
-        ++stats_.mem_ops;
-        ++stats_.stores;
-        break;
-      case trace::OpType::kAlu:
-        break;
-    }
+    if (e.state != State::kDone) break;
+    loads += e.type == trace::OpType::kLoad;
+    stores += e.type == trace::OpType::kStore;
     rob_.pop();
-    ++committed_this_cycle_;
+    ++n;
   }
+  stats_.instructions += n;
+  stats_.loads += loads;
+  stats_.stores += stores;
+  stats_.mem_ops += loads + stores;
+  committed_this_cycle_ += n;
 }
 
 void OooCore::do_issue(Cycle now) {
@@ -203,10 +197,14 @@ void OooCore::do_issue(Cycle now) {
          slot < end && issued < cfg_.issue_width;
          slot = next_ready(slot + 1, end)) {
       RobEntry& e = rob_.at_slot(slot);
-      if (e.op.type == trace::OpType::kAlu) {
+      if (e.type == trace::OpType::kAlu) {
         e.state = State::kExecuting;
-        e.done_at = now + e.op.exec_latency;
-        executing_.push_back(slot);
+        // Due at max(now + 1, now + latency): completion runs before issue
+        // in a tick, so a latency-0 op completes next cycle.
+        const Cycle due = now + std::max<Cycle>(1, e.exec_latency);
+        std::uint32_t& bucket = wheel_[due % kWheelSize];
+        e.wheel_next = bucket;
+        bucket = static_cast<std::uint32_t>(slot);
         clear_ready(slot);
         --iw_occupancy_;
         ++issued;
@@ -216,11 +214,11 @@ void OooCore::do_issue(Cycle now) {
       // Memory op: needs an LSQ slot and an L1 port.
       if (mem_port_blocked || lsq_occupancy_ >= cfg_.lsq_size) continue;
       mem::MemRequest req;
-      req.id = id_base_ | e.index;
+      req.id = id_base_ | rob_.seq_of_slot(slot);
       req.core = cfg_.id;
-      req.addr = e.op.addr;
-      req.kind = e.op.type == trace::OpType::kStore ? mem::AccessKind::kWrite
-                                                    : mem::AccessKind::kRead;
+      req.addr = e.addr;
+      req.kind = e.type == trace::OpType::kStore ? mem::AccessKind::kWrite
+                                                 : mem::AccessKind::kRead;
       req.created = now;
       req.reply_to = this;
       if (!l1_try_access(req)) {
@@ -231,11 +229,10 @@ void OooCore::do_issue(Cycle now) {
       ++lsq_occupancy_;
       --iw_occupancy_;
       ++issued;
-      e.mem_id = req.id;
       clear_ready(slot);
       // Stores retire at acceptance (store-buffer semantics); loads wait for
       // their data.
-      if (e.op.type == trace::OpType::kStore) {
+      if (e.type == trace::OpType::kStore) {
         mark_done(e);
       } else {
         e.state = State::kMemWaiting;
@@ -252,14 +249,22 @@ void OooCore::do_dispatch(Cycle /*now*/) {
       trace_done_ = true;
       break;
     }
-    const std::size_t seq =
-        rob_.push(RobEntry{trace_chunk_[chunk_pos_++], next_index_, State::kDispatched});
-    util::require(seq == next_index_, "OooCore: ROB sequence drift");
-    const std::size_t slot = rob_.slot_of(seq);
-    RobEntry& d = rob_.at_slot(slot);
-    add_producer(d, slot, 0, d.op.dep_dist);
+    const trace::MicroOp& op = trace_chunk_[chunk_pos_++];
+    const std::size_t slot = rob_.slot_of(next_index_);
+    RobEntry& d = rob_.push_slot();
+    util::require(rob_.head_seq() + rob_.size() == next_index_ + 1,
+                  "OooCore: ROB sequence drift");
+    d.addr = op.addr;
+    d.type = op.type;
+    d.state = State::kDispatched;
+    d.pending = 0;
+    d.exec_latency = op.exec_latency;
+    d.consumers = kNoEdge;
+    add_producer(d, next_index_, slot, 0, op.dep_dist);
     // Two dependences on one producer are one wait.
-    if (d.op.dep_dist2 != d.op.dep_dist) add_producer(d, slot, 1, d.op.dep_dist2);
+    if (op.dep_dist2 != op.dep_dist) {
+      add_producer(d, next_index_, slot, 1, op.dep_dist2);
+    }
     if (d.pending == 0) set_ready(slot);
     ++next_index_;
     ++iw_occupancy_;

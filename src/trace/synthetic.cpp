@@ -54,6 +54,8 @@ void WorkloadProfile::validate() const {
           name, ": burst_duty must be in [0,1]");
   require(burst_fmem >= 0.0 && burst_fmem <= 1.0,
           name, ": burst_fmem must be in [0,1]");
+  require(burst_seq_fraction >= 0.0 && burst_seq_fraction <= 1.0,
+          name, ": burst_seq_fraction must be in [0,1]");
   require(length >= 1, name, ": length must be >= 1");
   require(alu_latency >= 1, name, ": alu_latency must be >= 1");
 }
@@ -68,6 +70,14 @@ SyntheticTrace::SyntheticTrace(WorkloadProfile profile)
   util::require(!profile_.file_backed(), profile_.name,
                 ": SyntheticTrace cannot replay a file-backed profile "
                 "(route through make_trace/open_trace)");
+  using util::Rng;
+  normal_ = {Rng::chance(profile_.fmem), Rng::chance(profile_.seq_fraction)};
+  burst_ = {Rng::chance(profile_.burst_fmem),
+            Rng::chance(profile_.burst_seq_fraction)};
+  store_ = Rng::chance(profile_.store_fraction);
+  pointer_chase_ = Rng::chance(profile_.pointer_chase_fraction);
+  load_use_ = Rng::chance(profile_.load_use_fraction);
+  alu_dep_ = Rng::chance(profile_.alu_dep_fraction);
   reset();
 }
 
@@ -93,18 +103,16 @@ bool SyntheticTrace::is_burst_phase(const WorkloadProfile& profile,
   return u < profile.burst_duty;
 }
 
-SyntheticTrace::PhaseParams SyntheticTrace::current_phase_params() const {
+const SyntheticTrace::PhaseParams& SyntheticTrace::current_phase_params() const {
   if (profile_.phase_length > 0) {
     const std::uint64_t phase_idx = emitted_ / profile_.phase_length;
-    if (is_burst_phase(profile_, phase_idx)) {
-      return {profile_.burst_fmem, profile_.burst_seq_fraction};
-    }
+    if (is_burst_phase(profile_, phase_idx)) return burst_;
   }
-  return {profile_.fmem, profile_.seq_fraction};
+  return normal_;
 }
 
-Addr SyntheticTrace::sample_address(double seq_fraction) {
-  if (rng_.next_bool(seq_fraction)) {
+Addr SyntheticTrace::sample_address(util::Rng::Chance seq_fraction) {
+  if (rng_.hit(seq_fraction)) {
     const std::size_t s =
         profile_.num_streams == 1 ? 0 : rng_.next_below(profile_.num_streams);
     const Addr addr = stream_pos_[s];
@@ -133,25 +141,25 @@ std::size_t SyntheticTrace::fill(MicroOp* dst, std::size_t n) {
 }
 
 void SyntheticTrace::generate(MicroOp& op) {
-  const PhaseParams phase = current_phase_params();
+  const PhaseParams& phase = current_phase_params();
   op = MicroOp{};
 
-  if (rng_.next_bool(phase.fmem)) {
-    const bool is_store = rng_.next_bool(profile_.store_fraction);
+  if (rng_.hit(phase.fmem)) {
+    const bool is_store = rng_.hit(store_);
     op.type = is_store ? OpType::kStore : OpType::kLoad;
     op.addr = sample_address(phase.seq_fraction);
     if (!is_store) {
       // Pointer chasing: this load's address depends on the previous load,
       // serializing the two in the pipeline (kills memory-level parallelism).
       if (last_load_index_ != ~std::uint64_t{0} &&
-          rng_.next_bool(profile_.pointer_chase_fraction)) {
+          rng_.hit(pointer_chase_)) {
         const std::uint64_t dist = emitted_ - last_load_index_;
         op.dep_dist = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(dist, ~std::uint32_t{0}));
       }
       last_load_index_ = emitted_;
     } else if (last_load_index_ != ~std::uint64_t{0} &&
-               rng_.next_bool(profile_.load_use_fraction)) {
+               rng_.hit(load_use_)) {
       // Stores frequently write a recently loaded value.
       const std::uint64_t dist = emitted_ - last_load_index_;
       op.dep_dist = static_cast<std::uint32_t>(
@@ -160,11 +168,11 @@ void SyntheticTrace::generate(MicroOp& op) {
   } else {
     op.type = OpType::kAlu;
     op.exec_latency = profile_.alu_latency;
-    if (rng_.next_bool(profile_.alu_dep_fraction) && emitted_ > 0) {
+    if (rng_.hit(alu_dep_) && emitted_ > 0) {
       op.dep_dist = 1;
     }
     if (last_load_index_ != ~std::uint64_t{0} &&
-        rng_.next_bool(profile_.load_use_fraction)) {
+        rng_.hit(load_use_)) {
       const std::uint64_t dist = emitted_ - last_load_index_;
       op.dep_dist2 = static_cast<std::uint32_t>(
           std::min<std::uint64_t>(dist, ~std::uint32_t{0}));

@@ -36,18 +36,27 @@ class SyntheticTrace final : public TraceSource {
                                            std::uint64_t phase_idx);
 
  private:
+  /// Bernoulli thresholds (util::Rng::chance) of one parameter set.
   struct PhaseParams {
-    double fmem;
-    double seq_fraction;
+    util::Rng::Chance fmem;
+    util::Rng::Chance seq_fraction;
   };
 
-  [[nodiscard]] PhaseParams current_phase_params() const;
-  [[nodiscard]] Addr sample_address(double seq_fraction);
+  [[nodiscard]] const PhaseParams& current_phase_params() const;
+  [[nodiscard]] Addr sample_address(util::Rng::Chance seq_fraction);
   /// Emits one micro-op (shared body of next() and fill()).
   void generate(MicroOp& op);
 
   WorkloadProfile profile_;
   util::Rng rng_;
+  // The profile's probabilities as thresholds, computed once: the normal
+  // and burst parameter sets and the per-op-kind fractions.
+  PhaseParams normal_;
+  PhaseParams burst_;
+  util::Rng::Chance store_;
+  util::Rng::Chance pointer_chase_;
+  util::Rng::Chance load_use_;
+  util::Rng::Chance alu_dep_;
   // Streams advance by stride_bytes modulo the working set; every position
   // stays below working_set_bytes, so adding the reduced stride needs at
   // most one subtraction instead of a per-op division.

@@ -5,7 +5,6 @@
 // advances.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -38,16 +37,12 @@ class RingBuffer {
     return seq;
   }
 
-  /// Appends up to `n` elements copied from `src`, bounded by free space;
-  /// returns how many were appended. Batch counterpart of push() for
-  /// producers that generate in chunks (e.g. TraceSource::fill).
-  std::size_t push_bulk(const T* src, std::size_t n) {
-    const std::size_t take = std::min(n, capacity_ - size_);
-    for (std::size_t i = 0; i < take; ++i) {
-      slots_[(head_seq_ + size_) & mask_] = src[i];
-      ++size_;
-    }
-    return take;
+  /// Appends at the tail and returns the new element's slot for the caller
+  /// to fill in place; the slot still holds whatever an earlier element
+  /// left there. Its sequence number is head_seq() + size() - 1.
+  T& push_slot() {
+    require(!full(), "RingBuffer::push_slot on full buffer");
+    return slots_[(head_seq_ + size_++) & mask_];
   }
 
   /// Oldest element.
@@ -99,6 +94,10 @@ class RingBuffer {
   /// is unchecked; callers keep side tables indexed by slot.
   [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
   [[nodiscard]] std::size_t slot_of(std::size_t seq) const { return seq & mask_; }
+  /// Sequence number of the live element in `slot` (inverse of slot_of()).
+  [[nodiscard]] std::size_t seq_of_slot(std::size_t slot) const {
+    return head_seq_ + ((slot - head_seq_) & mask_);
+  }
   [[nodiscard]] T& at_slot(std::size_t slot) { return slots_[slot]; }
 
   void clear() {

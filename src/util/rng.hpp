@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -71,6 +72,33 @@ class Rng {
     if (p <= 0.0) return false;
     if (p >= 1.0) return true;
     return next_double() < p;
+  }
+
+  /// A Bernoulli probability held as an integer threshold on the 53 bits a
+  /// draw uses; build it once with chance() and draw with hit().
+  struct Chance {
+    static constexpr std::uint64_t kAlways = std::uint64_t{1} << 53;
+    std::uint64_t threshold = 0;  ///< 0 = never, kAlways = always (no draw)
+  };
+
+  /// The threshold of probability p, clamped to [0,1] like next_bool(). For
+  /// p in (0, 1) it is ceil(p * 2^53), which lies in [1, 2^53 - 1]. NaN is
+  /// not supported (WorkloadProfile::validate rejects it).
+  [[nodiscard]] static Chance chance(double p) {
+    if (p <= 0.0) return Chance{0};
+    if (p >= 1.0) return Chance{Chance::kAlways};
+    return Chance{static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53))};
+  }
+
+  /// next_bool(p) for c == chance(p): the same result and the same stream
+  /// advance on every draw. With k = next_u64() >> 11, next_double() < p is
+  /// k * 2^-53 < p, i.e. k < p * 2^53 (scaling by a power of two is exact),
+  /// i.e. k < ceil(p * 2^53) for an integer k; so the draw needs no
+  /// int-to-double convert or multiply.
+  bool hit(Chance c) {
+    if (c.threshold == 0) return false;
+    if (c.threshold == Chance::kAlways) return true;
+    return (next_u64() >> 11) < c.threshold;
   }
 
   /// Geometric distribution: number of failures before first success,

@@ -6,8 +6,10 @@
 // wakeup machinery: an in-order core, an instruction window smaller than
 // the ROB, ROB sizes that are not powers of two (the ready bitmap spans the
 // rounded-up ring), twin dependences on one producer, dependences that
-// reach past the ROB head, stores that wake their consumers mid-scan, and
-// L1 port rejections in the middle of an issue scan.
+// reach past the ROB head, stores that wake their consumers mid-scan,
+// L1 port rejections in the middle of an issue scan, and the ALU completion
+// wheel at its edges: latency 0 (due the next cycle), latency 255 (the
+// longest a uint8_t holds) and a 1-255 spread that wraps the wheel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -153,6 +155,8 @@ struct Program {
   std::uint32_t max_dist = 8;
   std::uint32_t max_dist2 = 16;
   double twin_fraction = 0.0;  ///< dep_dist2 := dep_dist
+  std::uint32_t min_latency = 1;  ///< ALU latencies drawn from
+  std::uint32_t max_latency = 4;  ///< [min_latency, max_latency]
 };
 
 /// A seeded program with the dependence structure `p` describes.
@@ -168,7 +172,8 @@ std::vector<trace::MicroOp> make_program(std::uint64_t seed, const Program& p) {
       op.addr = rng.next_below(p.addr_span) & ~Addr{7};
     } else {
       op.type = trace::OpType::kAlu;
-      op.exec_latency = static_cast<std::uint8_t>(1 + rng.next_below(4));
+      op.exec_latency = static_cast<std::uint8_t>(
+          p.min_latency + rng.next_below(p.max_latency - p.min_latency + 1));
     }
     if (i > 0 && rng.next_bool(0.5)) {
       op.dep_dist = static_cast<std::uint32_t>(
@@ -269,6 +274,38 @@ TEST_P(RefCoreDiff, StoreChainsAgree) {
   p.max_dist = 3;
   p.max_dist2 = 2;
   expect_same(shape_config(shape), make_program(shape.rob * 5 + 11, p), memory);
+}
+
+TEST_P(RefCoreDiff, ZeroLatencyAluAgrees) {
+  // Latency-0 ALU ops complete the cycle after they issue, as in the scan
+  // core, not in the bucket already drained this cycle.
+  const auto& [shape, memory] = GetParam();
+  Program p;
+  p.min_latency = 0;
+  p.max_latency = 0;
+  expect_same(shape_config(shape), make_program(shape.rob * 17 + 5, p), memory);
+}
+
+TEST_P(RefCoreDiff, MaxLatencyAluAgrees) {
+  // Every ALU op is due 255 cycles after issue: the bucket just behind the
+  // one being drained.
+  const auto& [shape, memory] = GetParam();
+  Program p;
+  p.n = 1500;
+  p.min_latency = 255;
+  p.max_latency = 255;
+  expect_same(shape_config(shape), make_program(shape.rob * 19 + 9, p), memory);
+}
+
+TEST_P(RefCoreDiff, MixedLatencyAluAgrees) {
+  // Latencies spread over 1-255: many buckets in use at once, and the
+  // wheel wraps many times over the run.
+  const auto& [shape, memory] = GetParam();
+  Program p;
+  p.n = 2000;
+  p.min_latency = 1;
+  p.max_latency = 255;
+  expect_same(shape_config(shape), make_program(shape.rob * 23 + 2, p), memory);
 }
 
 TEST(RefCoreDiffCases, StoreWakesConsumerInTheSameCycle) {

@@ -110,5 +110,37 @@ TEST(PerfectMemory, ResponsesArriveInRequestOrder) {
   EXPECT_EQ(sink.responses[2].completed, 6u);
 }
 
+TEST(PerfectMemory, InFlightQueueGrowsWhileWrapped) {
+  // 40 requests drain at cycle 3; the next 40 then wrap around the end of
+  // the in-flight ring, and 40 more force it to grow while wrapped. Every
+  // response still arrives once, in request order, with its own id, core
+  // and address, `latency` cycles after acceptance.
+  PerfectMemory mem(3);
+  TestSink sink;
+  RequestId next = 1;
+  std::map<RequestId, Cycle> accepted_at;
+  const std::map<Cycle, RequestId> batches = {{0, 40}, {3, 40}, {4, 40}, {5, 7}};
+  for (Cycle c = 0; c < 12; ++c) {
+    mem.tick(c);
+    const auto batch = batches.find(c);
+    if (batch == batches.end()) continue;
+    for (RequestId i = 0; i < batch->second; ++i, ++next) {
+      MemRequest r = read(next, next * 64, &sink, c);
+      r.core = static_cast<CoreId>(next % 3);
+      ASSERT_TRUE(mem.try_access(r));
+      accepted_at[next] = c;
+    }
+  }
+  EXPECT_FALSE(mem.busy());
+  ASSERT_EQ(sink.responses.size(), next - 1);
+  for (std::size_t i = 0; i < sink.responses.size(); ++i) {
+    const MemResponse& rsp = sink.responses[i];
+    EXPECT_EQ(rsp.id, i + 1);
+    EXPECT_EQ(rsp.addr, rsp.id * 64);
+    EXPECT_EQ(rsp.core, static_cast<CoreId>(rsp.id % 3));
+    EXPECT_EQ(rsp.completed, accepted_at[rsp.id] + 3);
+  }
+}
+
 }  // namespace
 }  // namespace lpm::mem

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "util/error.hpp"
@@ -211,6 +212,24 @@ TEST(WorkloadProfile, ValidationCatchesBadFields) {
   EXPECT_THROW(p.validate(), util::LpmError);
   p = small_profile();
   p.zipf_skew = -0.1;
+  EXPECT_THROW(p.validate(), util::LpmError);
+}
+
+TEST(WorkloadProfile, ValidationRejectsNanProbabilities) {
+  // The generator turns each probability into an integer threshold once
+  // (util::Rng::chance), which has no meaning for NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double WorkloadProfile::*field :
+       {&WorkloadProfile::fmem, &WorkloadProfile::store_fraction,
+        &WorkloadProfile::seq_fraction, &WorkloadProfile::pointer_chase_fraction,
+        &WorkloadProfile::load_use_fraction, &WorkloadProfile::alu_dep_fraction,
+        &WorkloadProfile::burst_fmem, &WorkloadProfile::burst_seq_fraction}) {
+    auto p = small_profile();
+    p.*field = nan;
+    EXPECT_THROW(p.validate(), util::LpmError);
+  }
+  auto p = small_profile();
+  p.burst_seq_fraction = 1.5;
   EXPECT_THROW(p.validate(), util::LpmError);
 }
 

@@ -95,6 +95,50 @@ TEST(RingBuffer, LongChurnKeepsConsistency) {
   }
 }
 
+TEST(RingBuffer, PushSlotAppendsInPlace) {
+  RingBuffer<int> rb(4);
+  rb.push_slot() = 1;
+  int& second = rb.push_slot();
+  second = 2;
+  EXPECT_EQ(&second, &rb.at_seq(1));  // the tail slot itself, not a copy
+  EXPECT_EQ(rb.size(), 2u);
+  EXPECT_EQ(rb.front(), 1);
+  rb.pop();
+  rb.push_slot() = 3;
+  rb.push_slot() = 4;
+  int& wrapped = rb.push_slot();  // sequence 4: storage wraps to slot 0
+  wrapped = 5;
+  EXPECT_EQ(&wrapped, &rb.at_slot(0));
+  EXPECT_EQ(rb.at_seq(4), 5);
+  EXPECT_TRUE(rb.full());
+  for (int want = 2; want <= 5; ++want) {
+    EXPECT_EQ(rb.front(), want);
+    rb.pop();
+  }
+}
+
+TEST(RingBuffer, PushSlotOnFullThrows) {
+  RingBuffer<int> rb(2);
+  rb.push_slot() = 1;
+  rb.push(2);
+  EXPECT_THROW(rb.push_slot(), LpmError);
+  EXPECT_EQ(rb.size(), 2u);  // the failed call claimed nothing
+  rb.pop();
+  EXPECT_NO_THROW(rb.push_slot() = 3);
+}
+
+TEST(RingBuffer, SeqOfSlotInvertsSlotOf) {
+  RingBuffer<int> rb(5);  // 8 slots
+  for (int round = 0; round < 20; ++round) {
+    while (!rb.full()) rb.push(round);
+    for (std::size_t seq = rb.head_seq(); seq < rb.head_seq() + rb.size(); ++seq) {
+      ASSERT_EQ(rb.seq_of_slot(rb.slot_of(seq)), seq);
+    }
+    rb.pop();
+    rb.pop();
+  }
+}
+
 TEST(RingBuffer, ZeroCapacityThrows) {
   EXPECT_THROW(RingBuffer<int>(0), LpmError);
 }

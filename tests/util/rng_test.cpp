@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -98,6 +101,81 @@ TEST(Rng, NextBoolFrequency) {
     if (r.next_bool(0.3)) ++yes;
   }
   EXPECT_NEAR(yes / 50000.0, 0.3, 0.02);
+}
+
+/// The probabilities at which a threshold draw could part from next_bool():
+/// both clamps and their neighbours, the smallest subnormal, the
+/// probability of one 53-bit step and its neighbours, an exact half, and
+/// the largest double below one.
+std::vector<double> chance_edge_probabilities() {
+  const double step = 0x1.0p-53;
+  return {-1.5,
+          -std::numeric_limits<double>::denorm_min(),
+          0.0,
+          std::numeric_limits<double>::denorm_min(),
+          std::nextafter(step, 0.0),
+          step,
+          std::nextafter(step, 1.0),
+          0.3,
+          0.5,
+          1.0 - step,
+          1.0,
+          std::nextafter(1.0, 2.0),
+          2.5};
+}
+
+TEST(Rng, ChanceThresholds) {
+  const double step = 0x1.0p-53;
+  const std::uint64_t always = Rng::Chance::kAlways;
+  EXPECT_EQ(Rng::chance(-1.5).threshold, 0u);
+  EXPECT_EQ(Rng::chance(0.0).threshold, 0u);
+  EXPECT_EQ(Rng::chance(std::numeric_limits<double>::denorm_min()).threshold, 1u);
+  EXPECT_EQ(Rng::chance(std::nextafter(step, 0.0)).threshold, 1u);
+  EXPECT_EQ(Rng::chance(step).threshold, 1u);
+  EXPECT_EQ(Rng::chance(std::nextafter(step, 1.0)).threshold, 2u);
+  EXPECT_EQ(Rng::chance(0.5).threshold, always / 2);
+  EXPECT_EQ(Rng::chance(1.0 - step).threshold, always - 1);
+  EXPECT_EQ(Rng::chance(1.0).threshold, always);
+  EXPECT_EQ(Rng::chance(2.5).threshold, always);
+}
+
+TEST(Rng, ChanceComparisonMatchesNextDoubleAtTheThreshold) {
+  // A draw k = next_u64() >> 11 succeeds in next_bool() when
+  // k * 2^-53 < p and in hit() when k < threshold. Check both sides of the
+  // threshold, where a rounding slip would show, for every p in (0, 1).
+  for (const double p : chance_edge_probabilities()) {
+    if (p <= 0.0 || p >= 1.0) continue;
+    const std::uint64_t t = Rng::chance(p).threshold;
+    for (std::uint64_t k : {t - 1, t, t + 1, std::uint64_t{0},
+                            Rng::Chance::kAlways - 1}) {
+      if (k >= Rng::Chance::kAlways) continue;
+      EXPECT_EQ(static_cast<double>(k) * 0x1.0p-53 < p, k < t)
+          << "p=" << p << " k=" << k;
+    }
+  }
+}
+
+TEST(Rng, HitMatchesNextBoolDrawForDraw) {
+  for (const double p : chance_edge_probabilities()) {
+    Rng a(77);
+    Rng b(77);
+    const Rng::Chance c = Rng::chance(p);
+    for (int i = 0; i < 20000; ++i) {
+      ASSERT_EQ(a.hit(c), b.next_bool(p)) << "p=" << p << " draw " << i;
+    }
+    // Same number of draws: the two streams continue identically.
+    for (int i = 0; i < 4; ++i) ASSERT_EQ(a.next_u64(), b.next_u64()) << "p=" << p;
+  }
+}
+
+TEST(Rng, HitClampsWithoutDrawing) {
+  Rng a(5);
+  Rng b(5);
+  EXPECT_FALSE(a.hit(Rng::chance(0.0)));
+  EXPECT_FALSE(a.hit(Rng::chance(-3.0)));
+  EXPECT_TRUE(a.hit(Rng::chance(1.0)));
+  EXPECT_TRUE(a.hit(Rng::chance(7.0)));
+  EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
 TEST(Rng, GeometricMeanMatchesTheory) {
