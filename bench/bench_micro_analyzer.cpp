@@ -68,7 +68,7 @@ void BM_TraceGeneration(benchmark::State& state) {
   trace::MicroOp op;
   std::uint64_t n = 0;
   for (auto _ : state) {
-    if (!t.next(op)) t.reset();
+    if (t.fill(&op, 1) == 0) t.reset();
     benchmark::DoNotOptimize(op.addr);
     ++n;
   }

@@ -12,23 +12,17 @@ namespace {
 using Clock = std::chrono::steady_clock;
 }
 
-Client::Client(std::string endpoint, std::string name)
-    : Client(std::vector<std::string>{std::move(endpoint)}, std::move(name)) {}
-
-Client::Client(std::vector<std::string> endpoints, std::string name)
-    : endpoints_(std::move(endpoints)), name_(std::move(name)) {
-  util::require(!endpoints_.empty(), "Client: endpoint list must be non-empty");
+Client::Client(const std::string& endpoint, std::string name)
+    : endpoint_(Endpoint::parse(endpoint)),  // fail fast on a typo
+      name_(std::move(name)) {
   util::require(valid_name(name_), "Client: name must be [A-Za-z0-9._-]{1,64}");
-  for (const std::string& ep : endpoints_) {
-    (void)Endpoint::parse(ep);  // fail fast on a typo, not at connect()
-  }
 }
 
 void Client::connect(std::uint64_t budget_ms) {
   const auto deadline = Clock::now() + std::chrono::milliseconds(budget_ms);
   for (;;) {
     try {
-      fd_ = connect_endpoint(Endpoint::parse(endpoints_[cursor_]));
+      fd_ = connect_endpoint(endpoint_);
       JsonWriter hello;
       hello.str("op", "hello").str("client", name_).num_u64("proto",
                                                             kProtocolVersion);
@@ -48,21 +42,19 @@ void Client::connect(std::uint64_t budget_ms) {
             // Retrying cannot help — this build speaks the wrong protocol.
             fd_ = Fd();
             throw util::ConfigError(
-                "Client: server at '" + endpoints_[cursor_] +
+                "Client: server at '" + endpoint_.to_string() +
                 "' refused protocol " + std::to_string(kProtocolVersion));
           }
         }
       }
       fd_ = Fd();
     } catch (const util::IoError&) {
-      fd_ = Fd();  // endpoint absent or mid-restart; try the next one
+      fd_ = Fd();  // endpoint absent or mid-restart; try again
     }
-    rotate();
     if (Clock::now() >= deadline) {
-      throw util::IoError("Client: cannot reach lpmd at any of " +
-                          std::to_string(endpoints_.size()) +
-                          " endpoint(s) (first: '" + endpoints_[0] +
-                          "') within " + std::to_string(budget_ms) + " ms");
+      throw util::IoError("Client: cannot reach lpmd at '" +
+                          endpoint_.to_string() + "' within " +
+                          std::to_string(budget_ms) + " ms");
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }

@@ -338,8 +338,8 @@ bool Server::handle_frame(const ConnPtr& conn, const std::string& payload) {
 
   if (op == "hello") {
     if (!conn->client.empty()) {
-      // One hello per connection — same rule the shard router enforces,
-      // so clients cannot tell the two apart.
+      // One hello per connection: a second one would rebind the
+      // connection's job keys to another client name mid-session.
       send_frame(conn, error_frame("", "config",
                                    "hello: connection already established"));
       return false;

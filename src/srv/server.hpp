@@ -1,7 +1,6 @@
 // lpmd server: a crash-safe LPM job daemon over a Unix-domain or TCP
-// socket (one listen endpoint per process; see wire::Endpoint). Several
-// lpmd processes on distinct endpoints + journals form the shards behind
-// srv::Router (router.hpp), which splits jobs by spec fingerprint.
+// socket (one listen endpoint per process; see wire::Endpoint). A restart
+// on the same endpoint and journal resumes where the crash left off.
 //
 // Threads:
 //   * one listener thread accepts connections and reaps idle/dead ones;
@@ -128,16 +127,12 @@ class Server {
     stop_requested_.store(true, std::memory_order_relaxed);
   }
 
-  [[nodiscard]] bool running() const {
-    return running_.load(std::memory_order_relaxed);
-  }
   [[nodiscard]] const Options& options() const { return opts_; }
   /// The canonical endpoint the listener actually bound — for TCP this
   /// resolves an ephemeral ":0" port request. Valid after start().
   [[nodiscard]] const std::string& bound_endpoint() const {
     return bound_endpoint_;
   }
-  [[nodiscard]] std::size_t queue_depth() const { return queue_.depth(); }
   /// Jobs re-enqueued from the journal at start().
   [[nodiscard]] std::size_t recovered_pending() const {
     return recovered_pending_;

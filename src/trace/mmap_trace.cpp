@@ -111,8 +111,6 @@ void MmapTrace::rethrow_failure() const {
   util::throw_error(failure_, failure_message_);
 }
 
-bool MmapTrace::next(MicroOp& op) { return fill(&op, 1) == 1; }
-
 std::size_t MmapTrace::fill(MicroOp* dst, std::size_t n) {
   if (failure_ != util::ErrorCode::kNone) rethrow_failure();
   if (n == 0) return 0;

@@ -61,7 +61,6 @@ class MmapTrace final : public TraceSource {
   MmapTrace(const MmapTrace&) = delete;
   MmapTrace& operator=(const MmapTrace&) = delete;
 
-  bool next(MicroOp& op) override;
   std::size_t fill(MicroOp* dst, std::size_t n) override;
   void reset() override;
   [[nodiscard]] std::string name() const override { return name_; }

@@ -26,7 +26,7 @@ void WorkloadProfile::validate() const {
   if (file_backed()) {
     // Replayed from disk: the synthetic knobs are ignored, so only the
     // replay identity matters. The checksum is mandatory — it is the
-    // fingerprint component that keeps memoization and shard routing
+    // fingerprint component that keeps memoization and journal resume
     // correct when a path is renamed or a file is swapped.
     require(trace_checksum != 0, name,
             ": file-backed profile needs a content checksum "
@@ -124,12 +124,6 @@ Addr SyntheticTrace::sample_address(util::Rng::Chance seq_fraction) {
   const std::uint64_t block = block_sampler_.sample(rng_);
   const std::uint64_t offset = rng_.next_below(kBlockBytes / 8) * 8;
   return profile_.addr_base + block * kBlockBytes + offset;
-}
-
-bool SyntheticTrace::next(MicroOp& op) {
-  if (emitted_ >= profile_.length) return false;
-  generate(op);
-  return true;
 }
 
 std::size_t SyntheticTrace::fill(MicroOp* dst, std::size_t n) {

@@ -19,7 +19,6 @@ class SyntheticTrace final : public TraceSource {
  public:
   explicit SyntheticTrace(WorkloadProfile profile);
 
-  bool next(MicroOp& op) override;
   std::size_t fill(MicroOp* dst, std::size_t n) override;
   void reset() override;
   [[nodiscard]] std::string name() const override { return profile_.name; }
@@ -44,7 +43,7 @@ class SyntheticTrace final : public TraceSource {
 
   [[nodiscard]] const PhaseParams& current_phase_params() const;
   [[nodiscard]] Addr sample_address(util::Rng::Chance seq_fraction);
-  /// Emits one micro-op (shared body of next() and fill()).
+  /// Emits one micro-op.
   void generate(MicroOp& op);
 
   WorkloadProfile profile_;
@@ -74,11 +73,6 @@ class VectorTrace final : public TraceSource {
   VectorTrace(std::string name, std::vector<MicroOp> ops)
       : name_(std::move(name)), ops_(std::move(ops)) {}
 
-  bool next(MicroOp& op) override {
-    if (pos_ >= ops_.size()) return false;
-    op = ops_[pos_++];
-    return true;
-  }
   std::size_t fill(MicroOp* dst, std::size_t n) override {
     const std::size_t take = std::min(n, ops_.size() - pos_);
     std::copy_n(ops_.begin() + static_cast<std::ptrdiff_t>(pos_), take, dst);

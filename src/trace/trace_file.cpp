@@ -50,15 +50,24 @@ std::uint64_t record_trace(TraceSource& source, const std::string& path) {
   put_u64(out, 0);  // patched below
 
   std::uint64_t count = 0;
-  MicroOp op;
-  while (source.next(op)) {
-    const auto type = static_cast<unsigned char>(op.type);
-    out.write(reinterpret_cast<const char*>(&type), 1);
-    out.write(reinterpret_cast<const char*>(&op.exec_latency), 1);
-    put_u32(out, op.dep_dist);
-    put_u32(out, op.dep_dist2);
-    put_u64(out, op.addr);
-    ++count;
+  std::vector<MicroOp> ops(4096);
+  for (;;) {
+    const std::size_t got = source.fill(ops.data(), ops.size());
+    if (got > ops.size()) {
+      throw util::SimError("record_trace: source '" + source.name() +
+                           "' returned more ops than requested");
+    }
+    for (std::size_t i = 0; i < got; ++i) {
+      const MicroOp& op = ops[i];
+      const auto type = static_cast<unsigned char>(op.type);
+      out.write(reinterpret_cast<const char*>(&type), 1);
+      out.write(reinterpret_cast<const char*>(&op.exec_latency), 1);
+      put_u32(out, op.dep_dist);
+      put_u32(out, op.dep_dist2);
+      put_u64(out, op.addr);
+    }
+    count += got;
+    if (got < ops.size()) break;  // short fill = source exhausted
   }
 
   out.seekp(count_pos);

@@ -59,11 +59,6 @@ class FileTrace final : public TraceSource {
   explicit FileTrace(const std::string& path, std::string name = "file-trace")
       : name_(std::move(name)), ops_(load_trace(path)) {}
 
-  bool next(MicroOp& op) override {
-    if (pos_ >= ops_.size()) return false;
-    op = ops_[pos_++];
-    return true;
-  }
   std::size_t fill(MicroOp* dst, std::size_t n) override {
     const std::size_t take = std::min(n, ops_.size() - pos_);
     std::copy_n(ops_.begin() + static_cast<std::ptrdiff_t>(pos_), take, dst);

@@ -16,21 +16,12 @@ class TraceSource {
  public:
   virtual ~TraceSource() = default;
 
-  /// Produces the next micro-op. Returns false at end-of-trace.
-  virtual bool next(MicroOp& op) = 0;
-
   /// Produces up to `n` micro-ops into `dst`, returning how many were
-  /// written. A short count (including 0) means end-of-trace. The
-  /// concatenation of fill() chunks must be byte-identical to the stream
-  /// next() would produce — consumers batch purely for throughput
-  /// (cores pull whole chunks instead of one virtual call per op). The
-  /// default forwards to next(); sources with cheap bulk generation
-  /// override it.
-  virtual std::size_t fill(MicroOp* dst, std::size_t n) {
-    std::size_t produced = 0;
-    while (produced < n && next(dst[produced])) ++produced;
-    return produced;
-  }
+  /// written; the only way to read a trace. A short count (including 0)
+  /// means end-of-trace. The stream is independent of how it is chunked:
+  /// any sequence of request sizes concatenates to the same ops, so
+  /// consumers pick chunk sizes purely for throughput.
+  virtual std::size_t fill(MicroOp* dst, std::size_t n) = 0;
 
   /// Rewinds to the beginning; the re-played stream must be identical.
   virtual void reset() = 0;

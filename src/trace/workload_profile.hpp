@@ -51,8 +51,8 @@ struct WorkloadProfile {
   std::string trace_path;
   /// Content checksum of the recorded stream (Checksum64 over record
   /// bytes; never 0 for a real file). This — not the path — is what
-  /// fingerprinting folds in, so the memo cache and shard routing key on
-  /// what the trace *is*, not where it happens to live.
+  /// fingerprinting folds in, so the memo caches and the sweep journal key
+  /// on what the trace *is*, not where it happens to live.
   std::uint64_t trace_checksum = 0;
 
   /// True when the workload replays a recorded trace file.

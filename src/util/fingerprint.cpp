@@ -101,7 +101,7 @@ std::uint64_t fingerprint(const trace::WorkloadProfile& wl) {
   if (wl.file_backed()) {
     // A recorded trace IS its content: fold in the stream checksum, never
     // the path or display name, so renaming/moving a file (or recording the
-    // same stream twice) hits the same memo-cache and shard-routing keys,
+    // same stream twice) hits the same memo-cache and sweep-journal keys,
     // while any content change misses them.
     f.mix("WorkloadProfile/file/v1").mix(wl.trace_checksum);
     return f.value();

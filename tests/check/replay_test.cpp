@@ -91,10 +91,7 @@ TEST(Replay, MakeTracesReplaysTheOpsVerbatim) {
 
   auto traces = c.make_traces();
   ASSERT_EQ(traces.size(), 1u);
-  std::vector<trace::MicroOp> drained;
-  trace::MicroOp op;
-  while (traces[0]->next(op)) drained.push_back(op);
-  EXPECT_EQ(drained, c.ops[0]);
+  EXPECT_EQ(trace::materialize(*traces[0], c.ops[0].size() + 1), c.ops[0]);
 }
 
 TEST(Replay, RejectsMalformedInput) {

@@ -15,7 +15,6 @@
 #include "model/analytic.hpp"
 #include "obs/metrics.hpp"
 #include "srv/client.hpp"
-#include "srv/router.hpp"
 #include "srv/server.hpp"
 #include "trace/spec_like.hpp"
 
@@ -233,21 +232,15 @@ TEST(MetricCatalogue, ServerNamesAreEmitted) {
 }
 
 TEST(MetricCatalogue, ShardAndTcpNamesAreEmitted) {
-  // A TCP shard behind a router: constructing them registers the srv.tcp.*
-  // and srv.shard.* names, one routed job makes the routing counters move.
-  srv::Server::Options shard_opts;
-  shard_opts.endpoint = "tcp:127.0.0.1:0";
-  shard_opts.workers = 1;
-  srv::Server shard(shard_opts);
-  shard.start();
+  // A TCP server: constructing it registers the srv.tcp.* names, and one
+  // served job makes the accept counter move.
+  srv::Server::Options opts;
+  opts.endpoint = "tcp:127.0.0.1:0";
+  opts.workers = 1;
+  srv::Server server(opts);
+  server.start();
 
-  srv::Router::Options router_opts;
-  router_opts.endpoint = "tcp:127.0.0.1:0";
-  router_opts.shards.push_back(shard.bound_endpoint());
-  srv::Router router(router_opts);
-  router.start();
-
-  srv::Client client(router.bound_endpoint(), "catalogue-shard");
+  srv::Client client(server.bound_endpoint(), "catalogue-tcp");
   client.connect(10'000);
   srv::JobSpec spec;
   spec.backend = "rdh";  // analytic: instant
@@ -259,25 +252,12 @@ TEST(MetricCatalogue, ShardAndTcpNamesAreEmitted) {
     done = frame && frame->get_string("op").value_or("") == "done";
   }
   ASSERT_TRUE(done);
-  router.stop();
-  shard.stop();
+  server.stop();
 
   const auto snap = obs::MetricsRegistry::global().snapshot();
-  const std::vector<std::string> counters = {
-      "srv.tcp.connections.accepted", "srv.shard.jobs.routed",
-      "srv.shard.attach.fanout", "srv.shard.upstream.connects",
-      "srv.shard.upstream.lost",
-  };
-  for (const auto& name : counters) {
-    EXPECT_TRUE(snap.counters.contains(name)) << "missing counter: " << name;
-  }
-  for (const auto& name : {"srv.tcp.port", "srv.shard.count"}) {
-    EXPECT_TRUE(snap.gauges.contains(name)) << "missing gauge: " << name;
-  }
+  EXPECT_TRUE(snap.counters.contains("srv.tcp.connections.accepted"));
+  EXPECT_TRUE(snap.gauges.contains("srv.tcp.port"));
   EXPECT_GE(snap.counter_or_zero("srv.tcp.connections.accepted"), 1u);
-  EXPECT_GE(snap.counter_or_zero("srv.shard.jobs.routed"), 1u);
-  EXPECT_GE(snap.counter_or_zero("srv.shard.upstream.connects"), 1u);
-  EXPECT_EQ(snap.gauges.at("srv.shard.count"), 1.0);
 }
 
 }  // namespace

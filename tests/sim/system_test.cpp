@@ -148,7 +148,7 @@ TEST(MeasureCpiExe, TraceIsResetForReuse) {
   trace::SyntheticTrace t(small_workload());
   (void)measure_cpi_exe(m, t);
   trace::MicroOp op;
-  EXPECT_TRUE(t.next(op));  // positioned at the start again
+  EXPECT_EQ(t.fill(&op, 1), 1u);  // positioned at the start again
 }
 
 }  // namespace

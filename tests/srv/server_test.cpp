@@ -74,8 +74,8 @@ TEST_F(ServerTest, SecondHelloRejected) {
   server.start();
 
   // Hand-rolled wire session: Client never re-hellos, but the protocol
-  // says exactly one hello per connection (the shard router depends on
-  // it), so the server must refuse a second one and close.
+  // says exactly one hello per connection, so the server must refuse a
+  // second one and close.
   Fd fd = connect_endpoint(Endpoint::parse(server.options().endpoint));
   JsonWriter hello;
   hello.str("op", "hello").str("client", "t1").num_u64("proto", 1);
@@ -91,6 +91,13 @@ TEST_F(ServerTest, SecondHelloRejected) {
   const util::FlatJson refusal = util::FlatJson::parse(reply);
   EXPECT_EQ(refusal.get_string("op").value_or(""), "error");
   EXPECT_EQ(refusal.get_string("code").value_or(""), "config");
+
+  // The server survives the offender and keeps serving fresh sessions.
+  Client client(server.options().endpoint, "t2");
+  client.connect();
+  ASSERT_TRUE(client.submit("j1", quick_spec()));
+  const auto frames = drain_until_terminal(client, "j1");
+  EXPECT_EQ(frames.back().get_string("op").value_or(""), "done");
   server.stop();
 }
 
@@ -191,6 +198,13 @@ TEST_F(ServerTest, ResubmitOfCompletedJobReplaysWithoutReexecution) {
   const auto replay = drain_until_terminal(again, "j1");
   ASSERT_EQ(replay.back().get_string("op").value_or(""), "done");
   EXPECT_EQ(replay.back().get_number("cycles").value_or(-2.0), first_cycles);
+  // Exactly one replay: no second terminal follows in a quiet window.
+  const auto quiet = std::chrono::steady_clock::now() + milliseconds(500);
+  while (std::chrono::steady_clock::now() < quiet) {
+    const auto frame = again.poll(100);
+    EXPECT_FALSE(frame && frame->get_string("op").value_or("") == "done")
+        << "replay delivered a duplicate terminal";
+  }
   EXPECT_EQ(obs::MetricsRegistry::global().snapshot().counter_or_zero(
                 "srv.jobs.completed"),
             completed_before);

@@ -1,10 +1,10 @@
-// The fill() contract: the concatenation of batched chunks must be
-// byte-identical to the stream repeated next() calls produce — batching is
-// purely a throughput change. Covered per source (synthetic incl. burst
-// phases, vector, file, mmap in both delivery modes) and end-to-end: a
-// System fed through a next()-only proxy produces the exact SystemResult of
-// the batched path, and a System replaying a recorded LPM2 file produces
-// the exact SystemResult of the live synthetic stream on all 16 profiles.
+// The fill() contract: the op stream must not depend on the chunk sizes it
+// is requested in — batching is purely a throughput change. Covered per
+// source (synthetic incl. burst phases, vector, file, mmap in both delivery
+// modes) at chunk sizes 1, 7, 100 and 4096, and end-to-end: a System fed
+// one op per fill() call produces the exact SystemResult of the batched
+// path, and a System replaying a recorded LPM2 file produces the exact
+// SystemResult of the live synthetic stream on all 16 profiles.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -28,13 +28,6 @@ namespace {
 // lets one process remove or rewrite a file another has mapped.
 std::string temp_path(const std::string& leaf) {
   return testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + leaf;
-}
-
-std::vector<MicroOp> drain_with_next(TraceSource& src) {
-  std::vector<MicroOp> ops;
-  MicroOp op;
-  while (src.next(op)) ops.push_back(op);
-  return ops;
 }
 
 std::vector<MicroOp> drain_with_fill(TraceSource& src, std::size_t chunk) {
@@ -61,59 +54,56 @@ void expect_same_stream(const std::vector<MicroOp>& a,
   }
 }
 
-void expect_fill_matches_next(const WorkloadProfile& profile) {
-  // Chunk sizes around and away from the core's batch size, including a
-  // non-divisor of the trace length and single-op batches.
-  for (const std::size_t chunk : {1ul, 7ul, 256ul, 1000ul}) {
-    SyntheticTrace by_next(profile);
-    SyntheticTrace by_fill(profile);
-    expect_same_stream(drain_with_next(by_next),
-                       drain_with_fill(by_fill, chunk));
+/// Drains a fresh source from `make` one op per fill() call, then again at
+/// chunk sizes around and away from the core's batch size (including a
+/// non-divisor of the trace length), expecting the same stream each time.
+template <typename MakeSource>
+void expect_chunk_size_invariant(MakeSource make) {
+  auto reference = make();
+  const std::vector<MicroOp> expected = drain_with_fill(reference, 1);
+  for (const std::size_t chunk : {7ul, 100ul, 4096ul}) {
+    auto src = make();
+    SCOPED_TRACE(chunk);
+    expect_same_stream(expected, drain_with_fill(src, chunk));
   }
 }
 
-TEST(FillDeterminism, SyntheticMatchesNext) {
-  expect_fill_matches_next(spec_profile(SpecBenchmark::kBwaves, 5000, 17));
-  expect_fill_matches_next(spec_profile(SpecBenchmark::kMcf, 5000, 3));
+TEST(FillDeterminism, SyntheticIsChunkSizeInvariant) {
+  for (const auto& profile : {spec_profile(SpecBenchmark::kBwaves, 5000, 17),
+                              spec_profile(SpecBenchmark::kMcf, 5000, 3)}) {
+    expect_chunk_size_invariant([&] { return SyntheticTrace(profile); });
+  }
 }
 
-TEST(FillDeterminism, BurstProfileMatchesNext) {
+TEST(FillDeterminism, BurstProfileIsChunkSizeInvariant) {
   // Phase boundaries exercise the mid-stream profile switches.
-  expect_fill_matches_next(burst_profile(500, 0.5, 6000, 7));
+  const auto profile = burst_profile(500, 0.5, 6000, 7);
+  expect_chunk_size_invariant([&] { return SyntheticTrace(profile); });
 }
 
-TEST(FillDeterminism, VectorTraceMatchesNext) {
+TEST(FillDeterminism, VectorTraceIsChunkSizeInvariant) {
   SyntheticTrace gen(spec_profile(SpecBenchmark::kGcc, 3000, 5));
-  std::vector<MicroOp> ops;
-  MicroOp op;
-  while (gen.next(op)) ops.push_back(op);
-
-  for (const std::size_t chunk : {1ul, 64ul, 4096ul}) {
-    VectorTrace by_next("v", ops);
-    VectorTrace by_fill("v", ops);
-    expect_same_stream(drain_with_next(by_next),
-                       drain_with_fill(by_fill, chunk));
-  }
+  const std::vector<MicroOp> ops = materialize(gen, 3000);
+  expect_chunk_size_invariant([&] { return VectorTrace("v", ops); });
 }
 
-TEST(FillDeterminism, FileTraceMatchesNext) {
+TEST(FillDeterminism, FileTraceIsChunkSizeInvariant) {
   const std::string path = temp_path("lpm_fill_determinism.bin");
   SyntheticTrace gen(spec_profile(SpecBenchmark::kSoplex, 3000, 11));
   record_trace(gen, path);
-
-  FileTrace by_next(path);
-  FileTrace by_fill(path);
-  expect_same_stream(drain_with_next(by_next), drain_with_fill(by_fill, 100));
+  expect_chunk_size_invariant([&] { return FileTrace(path); });
   std::remove(path.c_str());
 }
 
-/// Forwards next()/reset() only, hiding the wrapped source's fill()
-/// override so the base class's next()-loop fallback runs — i.e. the
-/// unbatched path a pre-fill() TraceSource would take.
-class NextOnlyProxy final : public TraceSource {
+/// Hands the wrapped source's ops out one per fill() call, whatever the
+/// request size — the unbatched path the core sees from a source that
+/// cannot produce more than one op at a time.
+class OneOpPerFillProxy final : public TraceSource {
  public:
-  explicit NextOnlyProxy(TraceSourcePtr inner) : inner_(std::move(inner)) {}
-  bool next(MicroOp& op) override { return inner_->next(op); }
+  explicit OneOpPerFillProxy(TraceSourcePtr inner) : inner_(std::move(inner)) {}
+  std::size_t fill(MicroOp* dst, std::size_t n) override {
+    return n == 0 ? 0 : inner_->fill(dst, 1);
+  }
   void reset() override { inner_->reset(); }
   [[nodiscard]] std::string name() const override { return inner_->name(); }
 
@@ -155,7 +145,7 @@ TEST(FillDeterminism, SystemResultIdenticalBatchedVsUnbatched) {
   const auto profile = spec_profile(SpecBenchmark::kBwaves, 20000, 17);
   const sim::SystemResult a =
       run_system(std::make_unique<SyntheticTrace>(profile));
-  const sim::SystemResult b = run_system(std::make_unique<NextOnlyProxy>(
+  const sim::SystemResult b = run_system(std::make_unique<OneOpPerFillProxy>(
       std::make_unique<SyntheticTrace>(profile)));
   expect_same_system_result(a, b);
 }
@@ -171,7 +161,7 @@ class Lpm2Determinism : public testing::Test {
     SyntheticTrace gen(profile_);
     record_trace_v2(gen, path_);
     SyntheticTrace live(profile_);
-    expected_ = drain_with_next(live);
+    expected_ = drain_with_fill(live, 1);
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
@@ -194,8 +184,6 @@ TEST_F(Lpm2Determinism, MmapMatchesSyntheticAtEveryChunkSize) {
       MmapTrace by_fill(path_, "by-fill", mode(pipeline));
       expect_same_stream(expected_, drain_with_fill(by_fill, chunk));
     }
-    MmapTrace by_next(path_, "by-next", mode(pipeline));
-    expect_same_stream(expected_, drain_with_next(by_next));
   }
 }
 
@@ -210,7 +198,7 @@ TEST_F(Lpm2Determinism, MidStreamResetReplaysTheIdenticalStream) {
     expect_same_stream(expected_, drain_with_fill(src, 100));
     // And a reset after full exhaustion replays again too.
     src.reset();
-    expect_same_stream(expected_, drain_with_next(src));
+    expect_same_stream(expected_, drain_with_fill(src, 1));
   }
 }
 

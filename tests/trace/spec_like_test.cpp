@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 namespace lpm::trace {
 namespace {
@@ -52,10 +53,7 @@ TEST(SpecLike, MakeTraceProducesWorkingSource) {
   const auto p = spec_profile(SpecBenchmark::kBwaves, 1000);
   auto t = make_trace(p);
   ASSERT_NE(t, nullptr);
-  MicroOp op;
-  std::uint64_t n = 0;
-  while (t->next(op)) ++n;
-  EXPECT_EQ(n, 1000u);
+  EXPECT_EQ(materialize(*t, 1001).size(), 1000u);
   EXPECT_EQ(t->name(), "410.bwaves");
 }
 
@@ -70,12 +68,12 @@ TEST(SpecLike, BurstProfileHasPhases) {
 TEST(SpecLike, DifferentSeedsGiveDifferentStreams) {
   auto t1 = make_trace(spec_profile(SpecBenchmark::kSoplex, 1000, 1));
   auto t2 = make_trace(spec_profile(SpecBenchmark::kSoplex, 1000, 2));
-  MicroOp a;
-  MicroOp b;
+  const std::vector<MicroOp> a = materialize(*t1, 1000);
+  const std::vector<MicroOp> b = materialize(*t2, 1000);
+  ASSERT_EQ(a.size(), b.size());
   int diffs = 0;
-  for (int i = 0; i < 1000; ++i) {
-    if (!t1->next(a) || !t2->next(b)) break;
-    if (a.type != b.type || a.addr != b.addr) ++diffs;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].type != b[i].type || a[i].addr != b[i].addr) ++diffs;
   }
   EXPECT_GT(diffs, 100);
 }

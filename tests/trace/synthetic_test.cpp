@@ -20,31 +20,31 @@ WorkloadProfile small_profile() {
   return p;
 }
 
+/// Every op the trace still holds (asks for one more than the profile
+/// length, so an over-long stream shows up as a size mismatch).
+std::vector<MicroOp> drain(SyntheticTrace& t) {
+  return materialize(t, t.profile().length + 1);
+}
+
 TEST(SyntheticTrace, EmitsExactlyLengthOps) {
   SyntheticTrace t(small_profile());
+  EXPECT_EQ(drain(t).size(), small_profile().length);
   MicroOp op;
-  std::uint64_t n = 0;
-  while (t.next(op)) ++n;
-  EXPECT_EQ(n, small_profile().length);
-  EXPECT_FALSE(t.next(op));  // stays exhausted
+  EXPECT_EQ(t.fill(&op, 1), 0u);  // stays exhausted
 }
 
 TEST(SyntheticTrace, ResetReplaysIdenticalStream) {
   SyntheticTrace t(small_profile());
-  std::vector<MicroOp> first;
-  MicroOp op;
-  while (t.next(op)) first.push_back(op);
+  const std::vector<MicroOp> first = drain(t);
   t.reset();
-  std::size_t i = 0;
-  while (t.next(op)) {
-    ASSERT_LT(i, first.size());
-    EXPECT_EQ(op.type, first[i].type);
-    EXPECT_EQ(op.addr, first[i].addr);
-    EXPECT_EQ(op.dep_dist, first[i].dep_dist);
-    EXPECT_EQ(op.dep_dist2, first[i].dep_dist2);
-    ++i;
+  const std::vector<MicroOp> again = drain(t);
+  ASSERT_EQ(again.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(again[i].type, first[i].type);
+    EXPECT_EQ(again[i].addr, first[i].addr);
+    EXPECT_EQ(again[i].dep_dist, first[i].dep_dist);
+    EXPECT_EQ(again[i].dep_dist2, first[i].dep_dist2);
   }
-  EXPECT_EQ(i, first.size());
 }
 
 TEST(SyntheticTrace, FmemMatchesProfile) {
@@ -52,10 +52,9 @@ TEST(SyntheticTrace, FmemMatchesProfile) {
   p.fmem = 0.35;
   p.length = 50000;
   SyntheticTrace t(p);
-  MicroOp op;
   std::uint64_t mem = 0;
   std::uint64_t total = 0;
-  while (t.next(op)) {
+  for (const MicroOp& op : drain(t)) {
     ++total;
     if (is_memory(op.type)) ++mem;
   }
@@ -67,10 +66,9 @@ TEST(SyntheticTrace, StoreFractionRespected) {
   p.store_fraction = 0.25;
   p.length = 50000;
   SyntheticTrace t(p);
-  MicroOp op;
   std::uint64_t loads = 0;
   std::uint64_t stores = 0;
-  while (t.next(op)) {
+  for (const MicroOp& op : drain(t)) {
     if (op.type == OpType::kLoad) ++loads;
     if (op.type == OpType::kStore) ++stores;
   }
@@ -81,8 +79,7 @@ TEST(SyntheticTrace, AddressesStayInWorkingSet) {
   auto p = small_profile();
   p.working_set_bytes = 4096;
   SyntheticTrace t(p);
-  MicroOp op;
-  while (t.next(op)) {
+  for (const MicroOp& op : drain(t)) {
     if (is_memory(op.type)) {
       EXPECT_LT(op.addr, p.working_set_bytes);
     }
@@ -96,12 +93,11 @@ TEST(SyntheticTrace, PointerChaseCreatesLoadDeps) {
   p.store_fraction = 0.0;
   p.length = 5000;
   SyntheticTrace t(p);
-  MicroOp op;
   std::uint64_t idx = 0;
   std::uint64_t last_load = ~std::uint64_t{0};
   std::uint64_t chained = 0;
   std::uint64_t loads_after_first = 0;
-  while (t.next(op)) {
+  for (const MicroOp& op : drain(t)) {
     if (op.type == OpType::kLoad) {
       if (last_load != ~std::uint64_t{0}) {
         ++loads_after_first;
@@ -120,8 +116,7 @@ TEST(SyntheticTrace, NoPointerChaseMeansIndependentLoads) {
   p.pointer_chase_fraction = 0.0;
   p.load_use_fraction = 0.0;
   SyntheticTrace t(p);
-  MicroOp op;
-  while (t.next(op)) {
+  for (const MicroOp& op : drain(t)) {
     if (op.type == OpType::kLoad) EXPECT_EQ(op.dep_dist, 0u);
   }
 }
@@ -135,10 +130,9 @@ TEST(SyntheticTrace, SequentialStreamsAdvanceByStride) {
   p.store_fraction = 0.0;
   p.length = 100;
   SyntheticTrace t(p);
-  MicroOp op;
   Addr prev = 0;
   bool first = true;
-  while (t.next(op)) {
+  for (const MicroOp& op : drain(t)) {
     if (!first) {
       const Addr expect = (prev + 64) % p.working_set_bytes;
       EXPECT_EQ(op.addr, expect);
@@ -177,10 +171,9 @@ TEST(SyntheticTrace, BurstPhasesAreMoreMemoryIntense) {
   p.burst_fmem = 0.9;
   p.length = 100000;
   SyntheticTrace t(p);
-  MicroOp op;
   std::uint64_t idx = 0;
   std::uint64_t burst_mem = 0, burst_total = 0, calm_mem = 0, calm_total = 0;
-  while (t.next(op)) {
+  for (const MicroOp& op : drain(t)) {
     const bool burst = SyntheticTrace::is_burst_phase(p, idx / p.phase_length);
     if (burst) {
       ++burst_total;
@@ -241,14 +234,14 @@ TEST(VectorTrace, ReplaysAndResets) {
   ops[2].type = OpType::kStore;
   VectorTrace t("vec", ops);
   MicroOp op;
-  EXPECT_TRUE(t.next(op));
+  EXPECT_EQ(t.fill(&op, 1), 1u);
   EXPECT_EQ(op.type, OpType::kAlu);
-  EXPECT_TRUE(t.next(op));
+  EXPECT_EQ(t.fill(&op, 1), 1u);
   EXPECT_EQ(op.addr, 64u);
-  EXPECT_TRUE(t.next(op));
-  EXPECT_FALSE(t.next(op));
+  EXPECT_EQ(t.fill(&op, 1), 1u);
+  EXPECT_EQ(t.fill(&op, 1), 0u);
   t.reset();
-  EXPECT_TRUE(t.next(op));
+  EXPECT_EQ(t.fill(&op, 1), 1u);
   EXPECT_EQ(t.name(), "vec");
 }
 

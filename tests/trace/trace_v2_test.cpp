@@ -351,7 +351,7 @@ TEST_F(Lpm2Torture, CorruptionFailureIsStickyUntilReset) {
     EXPECT_THROW((void)src.fill(buf.data(), buf.size()), util::IoError)
         << "pipeline=" << pipeline;
     MicroOp op;
-    EXPECT_THROW((void)src.next(op), util::IoError) << "sticky";
+    EXPECT_THROW((void)src.fill(&op, 1), util::IoError) << "sticky";
     src.reset();
     EXPECT_THROW((void)src.fill(buf.data(), buf.size()), util::IoError)
         << "after reset";
@@ -376,7 +376,7 @@ TEST(MmapTraceEdges, ZeroFillAndExactExhaustion) {
     EXPECT_EQ(buf, ops);
     EXPECT_EQ(t.fill(buf.data(), buf.size()), 0u);
     MicroOp op;
-    EXPECT_FALSE(t.next(op));
+    EXPECT_EQ(t.fill(&op, 1), 0u);
   }
   std::remove(path.c_str());
 }
@@ -497,10 +497,7 @@ TEST_F(OpenTraceDispatch, EnvKnobsSteerTheAutoMode) {
     ScopedEnv chunk("LPM_TRACE_CHUNK_OPS", "not-a-number");
     const TraceSourcePtr t = open_trace(v2_);
     ASSERT_NE(t, nullptr);
-    std::vector<MicroOp> got;
-    MicroOp op;
-    while (t->next(op)) got.push_back(op);
-    EXPECT_EQ(got.size(), 300u);
+    EXPECT_EQ(materialize(*t, 301).size(), 300u);
   }
 }
 
@@ -511,7 +508,6 @@ TEST_F(OpenTraceDispatch, EnvKnobsSteerTheAutoMode) {
 /// region; the lie is in the return value.)
 class OverReportingSource final : public TraceSource {
  public:
-  bool next(MicroOp&) override { return false; }
   std::size_t fill(MicroOp* dst, std::size_t n) override {
     for (std::size_t i = 0; i < n; ++i) dst[i] = MicroOp{};
     return n + 1;
@@ -525,10 +521,6 @@ class OverReportingSource final : public TraceSource {
 /// stop after the first one instead of spinning on the source.
 class DribblingSource final : public TraceSource {
  public:
-  bool next(MicroOp& op) override {
-    op = MicroOp{};
-    return true;
-  }
   std::size_t fill(MicroOp* dst, std::size_t n) override {
     ++calls_;
     if (n == 0) return 0;
@@ -617,8 +609,7 @@ TEST(FileBackedProfile, MakeTraceReplaysAndGuardsAgainstFileChanges) {
   std::vector<MicroOp> expected;
   {
     SyntheticTrace gen(profile);
-    MicroOp op;
-    while (gen.next(op)) expected.push_back(op);
+    expected = materialize(gen, profile.length);
   }
   {
     SyntheticTrace gen(profile);

@@ -4,23 +4,16 @@
 //       journal=/tmp/lpmd-soak.journal clients=8 jobs=2000
 //       kill_after=600 kills=1 fault_spec="throw@5,io@40"
 //       job_timeout_ms=2000 length=4000 [metrics=soak-metrics.json]
-//   $ ./lpm_loadgen spawn=./tools/lpmd shards=2 port_base=17870 ...
-//   (one command line each; wrapped here for width)
+//   (one command line; wrapped here for width)
 //
-// Spawns the server (fault injection via $LPM_FAULT_SPEC in its
-// environment), hammers it with `jobs` mixed jobs (simulate at several
-// fidelities and machine shapes, sweeps, optionally walks) from `clients`
-// concurrent client threads, SIGKILLs the server after `kill_after`
-// terminal results and restarts it on the same journal (`kills` times),
-// then verifies the exactly-once contract:
-//
-// With `shards=N` (N > 0) the harness instead builds a full TCP shard
-// topology: N backend lpmd processes on ports port_base..port_base+N-1
-// (journal `<journal>.<i>`, metrics snapshot `<metrics base>.shard<i>`),
-// one router on port_base+N, and every client speaks TCP to the router.
-// The chaos controller SIGKILLs *shards* round-robin and restarts each on
-// its own journal; the invariants checked are identical — sharding must
-// not weaken exactly-once.
+// Spawns the server on `socket` (any wire::Endpoint spelling, so
+// `socket=tcp:127.0.0.1:17890` soaks the TCP transport; fault injection
+// via $LPM_FAULT_SPEC in its environment), hammers it with `jobs` mixed
+// jobs (simulate at several fidelities and machine shapes, sweeps,
+// optionally walks) from `clients` concurrent client threads, SIGKILLs the
+// server after `kill_after` terminal results and restarts it on the same
+// endpoint and journal (`kills` times), then verifies the exactly-once
+// contract:
 //
 //   * every job reached EXACTLY one terminal frame (done or error) —
 //     zero lost;
@@ -47,9 +40,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -82,20 +72,7 @@ struct HarnessConfig {
   std::size_t degrade_watermark = 64;
   std::size_t walk_every = 0;  ///< every Nth job is a walk (0 = none)
   std::uint64_t budget_ms = 600'000;  ///< whole-run wall budget
-  unsigned shards = 0;  ///< 0 = single server on `socket`; N = TCP topology
-  std::uint16_t port_base = 17'870;
 };
-
-/// "soak.json" + ".shard0" -> "soak.shard0.json" (tag lands before the
-/// extension so artifact globs keep matching).
-std::string metrics_with_tag(const std::string& path, const std::string& tag) {
-  if (path.empty()) return path;
-  const std::size_t dot = path.rfind('.');
-  if (dot == std::string::npos || path.find('/', dot) != std::string::npos) {
-    return path + tag;
-  }
-  return path.substr(0, dot) + tag + path.substr(dot);
-}
 
 /// Per-job bookkeeping on the client side.
 enum class JobState { kUnsubmitted, kSubmitted, kAcked, kTerminal };
@@ -142,28 +119,18 @@ srv::JobSpec make_spec(const HarnessConfig& cfg, std::size_t index) {
   return spec;
 }
 
-/// What one spawned lpmd process serves: a shard (endpoint + journal) or,
-/// with `shards_csv` set, the router in front of them.
-struct ProcSpec {
-  std::string endpoint;
-  std::string journal;  ///< empty for the router (it holds no state)
-  std::string metrics;  ///< $LPM_METRICS exit-snapshot path
-  std::string shards_csv;  ///< non-empty = run as router over these
-};
-
-/// Owns one spawned lpmd process: start, SIGKILL, restart, clean stop.
+/// Owns the spawned lpmd process: start, SIGKILL, restart, clean stop.
 class ServerProcess {
  public:
-  ServerProcess(const HarnessConfig& cfg, ProcSpec spec)
-      : cfg_(cfg), spec_(std::move(spec)) {}
+  explicit ServerProcess(const HarnessConfig& cfg) : cfg_(cfg) {}
 
   void start() {
     if (cfg_.spawn.empty()) return;
     pid_ = ::fork();
     if (pid_ < 0) throw util::IoError("loadgen: fork failed");
     if (pid_ == 0) {
-      ::setenv("LPMD_ENDPOINT", spec_.endpoint.c_str(), 1);
-      ::setenv("LPMD_JOURNAL", spec_.journal.c_str(), 1);
+      ::setenv("LPMD_ENDPOINT", cfg_.socket.c_str(), 1);
+      ::setenv("LPMD_JOURNAL", cfg_.journal.c_str(), 1);
       ::setenv("LPMD_WORKERS", std::to_string(cfg_.workers).c_str(), 1);
       ::setenv("LPMD_QUEUE_MAX", std::to_string(cfg_.queue_max).c_str(), 1);
       ::setenv("LPMD_PER_CLIENT_MAX",
@@ -172,20 +139,14 @@ class ServerProcess {
                std::to_string(cfg_.degrade_watermark).c_str(), 1);
       ::setenv("LPMD_JOB_TIMEOUT_MS",
                std::to_string(cfg_.job_timeout_ms).c_str(), 1);
-      if (!cfg_.fault_spec.empty() && spec_.shards_csv.empty()) {
+      if (!cfg_.fault_spec.empty()) {
         ::setenv("LPM_FAULT_SPEC", cfg_.fault_spec.c_str(), 1);
       }
-      if (!spec_.metrics.empty()) {
-        ::setenv("LPM_METRICS", spec_.metrics.c_str(), 1);
+      if (!cfg_.metrics.empty()) {
+        ::setenv("LPM_METRICS", cfg_.metrics.c_str(), 1);
       }
-      if (spec_.shards_csv.empty()) {
-        ::execl(cfg_.spawn.c_str(), cfg_.spawn.c_str(),
-                static_cast<char*>(nullptr));
-      } else {
-        const std::string arg = "shards=" + spec_.shards_csv;
-        ::execl(cfg_.spawn.c_str(), cfg_.spawn.c_str(), arg.c_str(),
-                static_cast<char*>(nullptr));
-      }
+      ::execl(cfg_.spawn.c_str(), cfg_.spawn.c_str(),
+              static_cast<char*>(nullptr));
       std::fprintf(stderr, "loadgen: execl(%s): %s\n", cfg_.spawn.c_str(),
                    std::strerror(errno));
       ::_exit(127);
@@ -203,12 +164,11 @@ class ServerProcess {
   }
 
   /// Asks this incarnation to stop via the protocol (so its atexit metrics
-  /// snapshot is written) and reaps it. Through a router the shutdown is
-  /// broadcast, so calling this on the router stops the shards too.
+  /// snapshot is written) and reaps it.
   void shutdown_clean() {
     if (pid_ <= 0) return;
     try {
-      srv::Client control(spec_.endpoint, "loadgen-control");
+      srv::Client control(cfg_.socket, "loadgen-control");
       control.connect(3'000);
       control.request_shutdown();
       (void)control.poll(2'000);
@@ -220,31 +180,10 @@ class ServerProcess {
     pid_ = -1;
   }
 
-  /// Waits (bounded) for a process someone else asked to stop — the shards
-  /// after a router-broadcast shutdown. SIGTERM fallback on expiry.
-  void reap(std::uint64_t budget_ms) {
-    if (pid_ <= 0) return;
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(budget_ms);
-    int status = 0;
-    while (Clock::now() < deadline) {
-      if (::waitpid(pid_, &status, WNOHANG) == pid_) {
-        pid_ = -1;
-        return;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    ::kill(pid_, SIGTERM);
-    ::waitpid(pid_, &status, 0);
-    pid_ = -1;
-  }
-
   [[nodiscard]] bool managed() const { return !cfg_.spawn.empty(); }
-  [[nodiscard]] const ProcSpec& spec() const { return spec_; }
 
  private:
   const HarnessConfig& cfg_;
-  ProcSpec spec_;
   pid_t pid_ = -1;
 };
 
@@ -262,8 +201,7 @@ std::atomic<bool> g_abort{false};
 
 /// One client thread: owns jobs [first, first+count), drives them all to
 /// terminal state through every fault the harness throws at the server.
-void client_main(const HarnessConfig& cfg, std::string endpoint,
-                 unsigned client_index, std::size_t first, std::size_t count,
+void client_main(const HarnessConfig& cfg, unsigned client_index, std::size_t first, std::size_t count,
                  ClientStats* stats) {
   std::string name = "c";
   name += std::to_string(client_index);
@@ -274,7 +212,7 @@ void client_main(const HarnessConfig& cfg, std::string endpoint,
     slots[i].spec = make_spec(cfg, first + i);
   }
 
-  srv::Client client(std::move(endpoint), name);
+  srv::Client client(cfg.socket, name);
   const auto deadline = Clock::now() + std::chrono::milliseconds(cfg.budget_ms);
   // In-flight window below the server's per-client cap so steady-state
   // traffic flows; retry_after still fires during restarts when the
@@ -424,58 +362,20 @@ int main(int argc, char** argv) {
         args.get_uint_or("degrade_watermark", cfg.degrade_watermark);
     cfg.walk_every = args.get_uint_or("walk_every", cfg.walk_every);
     cfg.budget_ms = args.get_uint_or("budget_ms", cfg.budget_ms);
-    cfg.shards = static_cast<unsigned>(args.get_uint_or("shards", cfg.shards));
-    cfg.port_base = static_cast<std::uint16_t>(
-        args.get_uint_or("port_base", cfg.port_base));
     util::require(cfg.clients > 0 && cfg.jobs > 0,
                   "loadgen: clients and jobs must be positive");
-    util::require(cfg.shards == 0 || !cfg.spawn.empty(),
-                  "loadgen: shards= needs spawn= (the harness owns the fleet)");
 
-    const bool fresh = args.get_bool_or("fresh_journal", true);
-
-    // Build the process fleet: either one server on the unix socket, or N
-    // TCP shards plus a router (clients then talk to the router only).
-    std::vector<std::unique_ptr<ServerProcess>> shard_procs;
-    std::unique_ptr<ServerProcess> front;  // what clients dial + clean-stop
-    std::string client_endpoint;
-    if (cfg.shards == 0) {
-      if (fresh) ::unlink(cfg.journal.c_str());
-      client_endpoint = cfg.socket;
-      front = std::make_unique<ServerProcess>(
-          cfg, ProcSpec{cfg.socket, cfg.journal, cfg.metrics, ""});
-      front->start();
-    } else {
-      std::string shards_csv;
-      for (unsigned i = 0; i < cfg.shards; ++i) {
-        ProcSpec spec;
-        spec.endpoint =
-            "tcp:127.0.0.1:" + std::to_string(cfg.port_base + i);
-        spec.journal = cfg.journal + "." + std::to_string(i);
-        spec.metrics =
-            metrics_with_tag(cfg.metrics, ".shard" + std::to_string(i));
-        if (fresh) ::unlink(spec.journal.c_str());
-        if (!shards_csv.empty()) shards_csv += ",";
-        shards_csv += spec.endpoint;
-        shard_procs.push_back(
-            std::make_unique<ServerProcess>(cfg, std::move(spec)));
-        shard_procs.back()->start();
-      }
-      ProcSpec router;
-      router.endpoint =
-          "tcp:127.0.0.1:" + std::to_string(cfg.port_base + cfg.shards);
-      router.metrics = metrics_with_tag(cfg.metrics, ".router");
-      router.shards_csv = shards_csv;
-      client_endpoint = router.endpoint;
-      front = std::make_unique<ServerProcess>(cfg, std::move(router));
-      front->start();
+    if (args.get_bool_or("fresh_journal", true)) {
+      ::unlink(cfg.journal.c_str());
     }
+    ServerProcess server(cfg);
+    server.start();
 
     std::printf(
-        "loadgen: %zu jobs across %u clients -> %s (shards=%u, faults='%s', "
+        "loadgen: %zu jobs across %u clients -> %s (faults='%s', "
         "kill_after=%zu x%u)\n",
-        cfg.jobs, cfg.clients, client_endpoint.c_str(), cfg.shards,
-        cfg.fault_spec.c_str(), cfg.kill_after, cfg.kills);
+        cfg.jobs, cfg.clients, cfg.socket.c_str(), cfg.fault_spec.c_str(),
+        cfg.kill_after, cfg.kills);
 
     std::vector<ClientStats> stats(cfg.clients);
     std::vector<std::thread> threads;
@@ -484,27 +384,21 @@ int main(int argc, char** argv) {
       const std::size_t first = c * per_client;
       if (first >= cfg.jobs) break;
       const std::size_t count = std::min(per_client, cfg.jobs - first);
-      threads.emplace_back(client_main, std::cref(cfg), client_endpoint, c,
-                           first, count, &stats[c]);
+      threads.emplace_back(client_main, std::cref(cfg), c, first, count,
+                           &stats[c]);
     }
 
-    // Chaos controller: SIGKILL + restart at each kill threshold. With
-    // shards, the victims rotate through the backends (the router stays up;
-    // its sessions die with the shard and the clients reconcile through it).
+    // Chaos controller: SIGKILL + restart at each kill threshold.
     unsigned kills_done = 0;
-    while (front->managed() && cfg.kill_after != 0 && kills_done < cfg.kills) {
+    while (server.managed() && cfg.kill_after != 0 && kills_done < cfg.kills) {
       if (g_abort.load(std::memory_order_relaxed)) break;
       const std::size_t done = g_terminal_total.load(std::memory_order_relaxed);
       if (done >= cfg.kill_after * (kills_done + 1)) {
-        ServerProcess* victim =
-            shard_procs.empty()
-                ? front.get()
-                : shard_procs[kills_done % shard_procs.size()].get();
         std::printf("loadgen: SIGKILL %s at %zu terminal results; restarting\n",
-                    victim->spec().endpoint.c_str(), done);
+                    cfg.socket.c_str(), done);
         std::fflush(stdout);
-        victim->kill_hard();
-        victim->start();
+        server.kill_hard();
+        server.start();
         ++kills_done;
       } else {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -535,10 +429,8 @@ int main(int argc, char** argv) {
         total.overload, total.degraded, total.failed, total.reconnects,
         kills_done);
 
-    // Clean stop so every process writes its metrics snapshot: through the
-    // router the shutdown broadcasts to all shards, which we then reap.
-    front->shutdown_clean();
-    for (auto& shard : shard_procs) shard->reap(5'000);
+    // Clean stop so the server writes its metrics snapshot.
+    server.shutdown_clean();
 
     if (aborted || lost || total.duplicates != 0) {
       std::fprintf(stderr,

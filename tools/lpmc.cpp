@@ -11,11 +11,10 @@
 //   $ ./lpmc cmd=attach id=job1         # pick up results after a restart
 //   $ ./lpmc cmd=ping | cmd=stats | cmd=shutdown
 //
-// `endpoint` accepts any wire::Endpoint spelling ("unix:<path>",
-// "tcp:<host>:<port>", bare unix path) and may be a comma-separated list:
-// connect() fails over through the list, which is how you point lpmc at a
-// set of shards or at a router plus a fallback. `socket=` is the legacy
-// single-path alias.
+// `endpoint` accepts one wire::Endpoint spelling ("unix:<path>",
+// "tcp:<host>:<port>", bare unix path); `socket=` is the legacy alias. A
+// value with a comma is refused as a usage error rather than dialled as a
+// Unix path, which would only fail later and less clearly.
 //
 // Submits one job, then prints every frame the server streams back (one
 // JSON object per line) until the job's terminal frame (done/error)
@@ -29,7 +28,6 @@
 #include <cstdio>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "srv/client.hpp"
 #include "util/config.hpp"
@@ -40,20 +38,17 @@ int main(int argc, char** argv) {
   try {
     const auto args = util::KvConfig::from_args(argc, argv);
     const std::string cmd = args.get_or("cmd", "simulate");
-    std::string endpoint_csv = args.get_or("socket", "/tmp/lpmd.sock");
-    endpoint_csv = args.get_or("endpoint", endpoint_csv);
+    std::string endpoint = args.get_or("socket", "/tmp/lpmd.sock");
+    endpoint = args.get_or("endpoint", endpoint);
     const std::string name = args.get_or("name", "lpmc");
     const std::string id = args.get_or("id", "job1");
-
-    std::vector<std::string> endpoints;
-    for (std::size_t pos = 0; pos <= endpoint_csv.size();) {
-      std::size_t comma = endpoint_csv.find(',', pos);
-      if (comma == std::string::npos) comma = endpoint_csv.size();
-      if (comma > pos) endpoints.push_back(endpoint_csv.substr(pos, comma - pos));
-      pos = comma + 1;
+    if (endpoint.find(',') != std::string::npos) {
+      throw util::ConfigError("endpoint '" + endpoint +
+                              "' is a list; endpoint lists were removed, "
+                              "give exactly one endpoint");
     }
 
-    srv::Client client(endpoints, name);
+    srv::Client client(endpoint, name);
     client.connect(args.get_uint_or("connect_budget_ms", 5'000));
 
     if (cmd == "ping" || cmd == "stats" || cmd == "shutdown") {
